@@ -29,7 +29,7 @@ from repro.catalog.datagen import (
     register_standard_functions,
 )
 from repro.database import Database
-from repro.exec import EXECUTORS, Executor, FailurePolicy, QueryResult
+from repro.exec import Executor, FailurePolicy, QueryResult
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.obs import MetricsRegistry, Tracer, record_run
 from repro.optimizer import (
@@ -46,7 +46,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Database",
-    "EXECUTORS",
     "Executor",
     "FailurePolicy",
     "FaultInjector",

@@ -17,7 +17,7 @@ Examples::
     python -m repro stats q4 --strategy pushdown --dir artifacts/
     python -m repro drift q4 1 2 --dir artifacts/
     python -m repro --workload q4 --trace-export trace.json
-    python -m repro --workload q4 --executor vector --explain-analyze
+    python -m repro --workload q4 --explain-analyze
     python -m repro --workload q1 --budget 50 --flight-record artifacts/
     python -m repro postmortem artifacts/FLIGHT_q1.json
     python -m repro top q4 --once
@@ -43,12 +43,10 @@ from repro.bench.optspeed import (
     format_payload,
     run_payload,
 )
-from repro.bench import vecspeed as vecspeed_bench
 from repro.bench.workloads import WORKLOADS, build_workload
 from repro.cost.model import CostModel
 from repro.errors import ArtifactError, OptimizerError, ReproError
 from repro.exec.containment import DEFAULT_RETRIES, EXHAUSTION_POLICIES
-from repro.exec.runtime import EXECUTORS
 from repro.faults.plan import PROFILES
 from repro.obs import (
     DRIFT_QERROR_THRESHOLD,
@@ -134,14 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--caching", action="store_true", help="enable predicate caching"
-    )
-    parser.add_argument(
-        "--executor",
-        default="row",
-        choices=EXECUTORS,
-        help="execution path: 'row' (tuple-at-a-time, the default) or "
-        "'vector' (batch-at-a-time columnar); both produce identical "
-        "rows and charges",
     )
     parser.add_argument(
         "--cache-capacity",
@@ -321,7 +311,6 @@ def _write_flight(
     *,
     workload: str,
     reason: str,
-    executor: str,
     strategy: str,
     seed: int,
     result=None,
@@ -333,7 +322,6 @@ def _write_flight(
         flight,
         workload=workload,
         reason=reason,
-        executor=executor,
         strategy=strategy,
         seed=seed,
         result=result,
@@ -409,7 +397,6 @@ def _run(args, tracer, out, profiler=NULL_PROFILER, flight=None) -> int:
             provenance=bool(args.record),
             feedback=bool(args.record),
             telemetry=bool(args.record) or bool(args.metrics_export),
-            executor=args.executor,
             adaptive=adaptive_policy,
         )
         if adaptive_policy is not None:
@@ -492,7 +479,7 @@ def _run(args, tracer, out, profiler=NULL_PROFILER, flight=None) -> int:
     )
     executor = Executor(
         db, caching=args.caching, budget=budget, tracer=tracer,
-        profiler=profiler, monitor=monitor, executor=args.executor,
+        profiler=profiler, monitor=monitor,
         cache_capacity=args.cache_capacity, flight=flight,
         adaptive=adaptive_policy, ledger=adaptive_ledger,
     )
@@ -559,7 +546,6 @@ def _run(args, tracer, out, profiler=NULL_PROFILER, flight=None) -> int:
                 flight,
                 workload=args.workload or query.name or "cli",
                 reason=result.error,
-                executor=args.executor,
                 strategy=args.strategy,
                 seed=args.seed,
                 result=result,
@@ -860,126 +846,6 @@ def opt_speed(argv: list[str], out=None) -> int:
     return 0
 
 
-# -- vec-speed: the executor microbench ---------------------------------------
-
-
-def build_vec_speed_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro vec-speed",
-        description=(
-            "Executor microbenchmark: best-of-N wall-clock for the row "
-            "and vector executors on the same plan, per workload × scale, "
-            "with the speedup ratio. Row multisets are asserted identical "
-            "across executors on every cell. With --baseline, warns "
-            "(exit 0) when vector time regressed or the speedup shrank "
-            "beyond --threshold — wall-clock is not comparable across "
-            "machines, so this never gates."
-        ),
-    )
-    parser.add_argument(
-        "--workloads",
-        default=",".join(vecspeed_bench.DEFAULT_WORKLOADS),
-        metavar="LIST",
-        help="comma-separated workload keys (default "
-        f"{','.join(vecspeed_bench.DEFAULT_WORKLOADS)})",
-    )
-    parser.add_argument(
-        "--scales",
-        default=",".join(map(str, vecspeed_bench.DEFAULT_SCALES)),
-        metavar="LIST",
-        help="comma-separated database scales (default "
-        f"{','.join(map(str, vecspeed_bench.DEFAULT_SCALES))})",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=42, help="data generator seed"
-    )
-    parser.add_argument(
-        "--strategy", default=vecspeed_bench.DEFAULT_STRATEGY,
-        help="placement strategy whose plan both executors run "
-        f"(default {vecspeed_bench.DEFAULT_STRATEGY})",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=vecspeed_bench.DEFAULT_REPEATS,
-        metavar="N",
-        help="repetitions per executor; the minimum is reported "
-        f"(default {vecspeed_bench.DEFAULT_REPEATS})",
-    )
-    parser.add_argument(
-        "--out", metavar="FILE", help="write the run as JSON to FILE"
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="compare against a previously recorded vec-speed JSON run",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=0.25, metavar="FRAC",
-        help="fractional regression that triggers a warning "
-        "(default 0.25)",
-    )
-    return parser
-
-
-def vec_speed(argv: list[str], out=None) -> int:
-    """The ``vec-speed`` subcommand body; returns the exit code."""
-    import json
-
-    if out is None:
-        out = sys.stdout
-    args = build_vec_speed_parser().parse_args(argv)
-    try:
-        workload_keys = tuple(
-            part.strip() for part in args.workloads.split(",") if part.strip()
-        )
-        unknown = [key for key in workload_keys if key not in WORKLOADS]
-        if unknown:
-            raise ReproError(
-                f"unknown workload(s) {unknown}; "
-                f"choose from {sorted(WORKLOADS)}"
-            )
-        scales = tuple(
-            int(part) for part in args.scales.split(",") if part.strip()
-        )
-        payload = vecspeed_bench.run_payload(
-            workload_keys,
-            scales,
-            repeats=args.repeats,
-            seed=args.seed,
-            strategy=args.strategy,
-        )
-    except (ReproError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(vecspeed_bench.format_payload(payload), file=out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"-- vec-speed artifact: {args.out}", file=sys.stderr)
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError) as error:
-            print(
-                f"error: cannot read baseline: {error}", file=sys.stderr
-            )
-            return 2
-        warnings = vecspeed_bench.compare_runs(
-            baseline, payload, threshold=args.threshold
-        )
-        for warning in warnings:
-            print(warning, file=out)
-        if not warnings:
-            print("vec-speed: no executor-speed regressions", file=out)
-        else:
-            print(
-                f"vec-speed: {len(warnings)} warning(s) — informational "
-                "only, wall-clock never gates",
-                file=out,
-            )
-    return 0
-
-
 # -- why: the per-predicate placement explainer -------------------------------
 
 
@@ -1214,14 +1080,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         "as CHAOS_<workload>.json into DIR",
     )
     parser.add_argument(
-        "--executor",
-        default="row",
-        choices=EXECUTORS,
-        help="execution path for the oracle and every strategy run "
-        "(default row); the subset/superset audits must hold under "
-        "either",
-    )
-    parser.add_argument(
         "--telemetry", action="store_true",
         help="attach a runtime monitor to every execution and audit the "
         "telemetry invariants too (aborts freeze progress with a "
@@ -1378,7 +1236,6 @@ def chaos(argv: list[str], out=None) -> int:
             profile=args.profile,
             planner_fault_rate=args.planner_fault_rate,
             telemetry=args.telemetry,
-            executor=args.executor,
             flight_dir=args.flight_record,
             adaptive=args.adaptive,
             drift_threshold=args.drift_threshold,
@@ -1433,13 +1290,6 @@ def build_top_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--caching", action="store_true", help="enable predicate caching"
-    )
-    parser.add_argument(
-        "--executor",
-        default="row",
-        choices=EXECUTORS,
-        help="execution path to watch (default row); vector runs report "
-        "progress batch-at-a-time",
     )
     parser.add_argument(
         "--budget", type=float, default=None,
@@ -1498,7 +1348,6 @@ def top(argv: list[str], out=None) -> int:
     try:
         executor = Executor(
             db, caching=args.caching, budget=budget, monitor=monitor,
-            executor=args.executor,
         )
         result = executor.execute(
             optimized.plan, project=workload.query.select
@@ -1944,10 +1793,6 @@ def main(argv: list[str] | None = None) -> int:
         return opt_speed(list(argv[1:]))
     if argv[:2] == ["bench", "opt-speed"]:
         return opt_speed(list(argv[2:]))
-    if argv and argv[0] == "vec-speed":
-        return vec_speed(list(argv[1:]))
-    if argv[:2] == ["bench", "vec-speed"]:
-        return vec_speed(list(argv[2:]))
     if argv and argv[0] == "why":
         return why(list(argv[1:]))
     if argv and argv[0] == "plan-diff":

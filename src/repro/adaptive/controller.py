@@ -14,22 +14,24 @@ predicate placement into the live pipeline.
 Why splicing mid-query is safe here
 -----------------------------------
 
-The row engine is a synchronous pull pipeline: when the spine's leaf
-scan produces its next raw row, zero rows are in flight above it (a
-nested-loop join exhausts its inner matches before pulling the next
-outer row). A *leaf-feed boundary* — immediately after the leaf yields
-a raw row, before that row enters any filter — is therefore a safe
+The batch engine cuts the spine leaf's batches at power-of-two leaf-row
+milestones and sends a boundary marker up the spine ahead of the batch
+that starts at each one; every spine join flushes its partial output
+ahead of the marker, and the plan root (or a pipeline breaker) absorbs
+it and calls :meth:`AdaptiveController.on_boundary`. At that instant
+every earlier leaf row has flowed as far up the pipeline as it can go
+and no later row has entered a filter — the *leaf boundary* is a safe
 suspension point: every earlier row has fully flowed through the old
 placement, and the boundary row plus all future rows flow through the
-new one. Because :class:`~repro.exec.operators.FilterChain` re-reads
-its filter list on every row and
-:class:`~repro.exec.operators.IndexNestedLoopJoinOp` aliases its inner
-scan's filter list, mutating plan-node filter lists **in place**
-(``node.filters[:] = ...``, never rebinding) re-places predicates for
-all future rows without rebuilding operators, discarding completed
-work, or re-charging anything: each row is evaluated against each
-predicate exactly once, at whichever slot held the predicate when the
-row passed through.
+new one. Because :class:`~repro.exec.vector.BatchFilter` re-reads its
+node's filter list before every batch and
+:class:`~repro.exec.vector.BatchIndexNestedLoopJoin` re-reads its inner
+scan's list before every outer batch, mutating plan-node filter lists
+**in place** (``node.filters[:] = ...``, never rebinding) re-places
+predicates for all future rows without rebuilding operators,
+discarding completed work, or re-charging anything: each row is
+evaluated against each predicate exactly once, at whichever slot held
+the predicate when the row passed through.
 
 Pipeline breakers bound the movable region. A spine merge join buffers
 *both* inputs and a (potentially Grace) hash join may buffer its outer,
@@ -68,7 +70,7 @@ from repro.plan.streams import Spine, movable_predicates, spine_of
 
 #: Hard cap on retained trigger-log entries (the provenance ledger and
 #: flight recorder get every event regardless; this only bounds the
-#: in-memory report). Row-path boundaries are power-of-two milestones,
+#: in-memory report). Boundaries are power-of-two leaf-row milestones,
 #: so real runs stay far below it.
 MAX_TRIGGER_EVENTS = 64
 
@@ -103,9 +105,6 @@ class AdaptiveReport:
     #: (e.g. a bushy tree has no spine to re-place along).
     active: bool = True
     disabled_reason: str = ""
-    #: Boundary cadence: 0 = power-of-two leaf-row milestones (the row
-    #: path), N > 0 = every N leaf rows (the vector-requested cadence).
-    cadence: int = 0
     leaf_rows: int = 0
     boundaries: int = 0
     triggers: int = 0
@@ -125,7 +124,6 @@ class AdaptiveReport:
             "enabled": self.enabled,
             "active": self.active,
             "disabled_reason": self.disabled_reason,
-            "cadence": self.cadence,
             "leaf_rows": self.leaf_rows,
             "boundaries": self.boundaries,
             "triggers": self.triggers,
@@ -197,9 +195,10 @@ class AdaptiveController:
     """Drift monitor + suffix re-planner for one execution.
 
     Doubles as the execution's feedback ``collector`` (tee-ing to any
-    user-supplied one) and as the runtime ``feed``: operators call
-    :meth:`on_leaf_row` at the spine leaf (the safe boundary) and
-    :meth:`on_node_row` at spine taps (join fan-out observation). The
+    user-supplied one) and as the runtime ``feed``: the spine leaf
+    reports the rows it hands up (:meth:`on_leaf_rows`), spine taps
+    count node output (:meth:`on_node_rows`, join fan-out observation),
+    and :meth:`on_boundary` fires at each safe leaf boundary. The
     controller never charges the meter and never changes a row — a
     zero-replan adaptive run is charge- and row-identical to a
     non-adaptive one.
@@ -217,7 +216,6 @@ class AdaptiveController:
         collector=None,
         ledger=NULL_LEDGER,
         flight=None,
-        cadence: int = 0,
         stats_store=None,
         stats_meta: dict | None = None,
     ) -> None:
@@ -233,14 +231,14 @@ class AdaptiveController:
         self.cache = None  # installed by the executor once built
         self.stats_store = stats_store
         self.stats_meta = dict(stats_meta or {})
-        self.report = AdaptiveReport(cadence=cadence)
-        self.cadence = cadence
+        self.report = AdaptiveReport()
         self.active = True
 
         self._feedback = FeedbackCollector()
         self._pred_objects: dict[int, Predicate] = {}
         self._counts: dict[int, int] = {}
         self._leaf_rows = 0
+        self._boundary_row = 0
         self._seen_signatures: set[tuple] = set()
         self._reported_drift: set[tuple] = set()
         self._budget_refused = False
@@ -301,22 +299,50 @@ class AdaptiveController:
         if self.user_collector is not None:
             self.user_collector.observe(predicate, passed, charged)
 
+    def observe_batch(
+        self,
+        predicate: Predicate,
+        evaluated: int,
+        passed: int,
+        charged_calls: int,
+        charged_cost: float,
+    ) -> None:
+        """Bulk :meth:`observe`: one batch of verdicts, same tally
+        totals as observing them one by one."""
+        self._feedback.observe_batch(
+            predicate, evaluated, passed, charged_calls, charged_cost
+        )
+        self._pred_objects.setdefault(predicate.pred_id, predicate)
+        user = self.user_collector
+        if user is None:
+            return
+        bulk = getattr(user, "observe_batch", None)
+        if bulk is not None:
+            bulk(predicate, evaluated, passed, charged_calls, charged_cost)
+            return
+        for i in range(evaluated):
+            user.observe(
+                predicate,
+                i < passed,
+                charged_cost / charged_calls if i < charged_calls else 0.0,
+            )
+
     # -- runtime feed surface ----------------------------------------------
 
-    def on_node_row(self, key: int) -> None:
-        self._counts[key] = self._counts.get(key, 0) + 1
+    def on_node_rows(self, key: int, rows: int) -> None:
+        self._counts[key] = self._counts.get(key, 0) + rows
 
-    def on_leaf_row(self) -> None:
-        self._leaf_rows += 1
+    def on_leaf_rows(self, rows: int) -> None:
+        self._leaf_rows += rows
         self.report.leaf_rows = self._leaf_rows
+
+    def on_boundary(self) -> None:
+        """Leaf row ``leaf_rows + 1`` is next, and every earlier leaf
+        row has flowed as far as it can: check for drift and, when it
+        pays, splice a re-planned placement in."""
+        self._boundary_row = self._leaf_rows + 1
         if not self.active:
             return
-        rows = self._leaf_rows
-        if self.cadence > 0:
-            if rows % self.cadence:
-                return
-        elif rows & (rows - 1):
-            return  # power-of-two milestones: O(log n) checks per run
         self.report.boundaries += 1
         self._check_drift()
 
@@ -356,7 +382,7 @@ class AdaptiveController:
     def _event(self, action: str, **data) -> None:
         event = {
             "action": action,
-            "leaf_rows": self._leaf_rows,
+            "leaf_rows": self._boundary_row,
             "charged": self.meter.charged,
             "replans": self.report.replans,
             **data,

@@ -36,14 +36,12 @@ from repro.bench.optspeed import (
     measure,
     run_payload,
 )
-from repro.bench.vecspeed import VecSpeedSample
 
 __all__ = [
     "ALL_STRATEGIES",
     "DEFAULT_STRATEGIES",
     "OptSpeedSample",
     "StressReport",
-    "VecSpeedSample",
     "WORKLOADS",
     "StrategyOutcome",
     "Workload",

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from repro.cost.model import CostModel
 from repro.database import Database
-from repro.exec.operators import RuntimeContext, build_operator
+from repro.exec.operators import RuntimeContext
+from repro.exec.vector import VectorPlanRunner
 from repro.obs.quality import qerror
 from repro.plan.nodes import Join, Plan, PlanNode, Scan
 
@@ -56,7 +57,9 @@ def _actual_rows(db: Database, node: PlanNode, caching: bool) -> int:
         params=db.params,
         caching=caching,
     )
-    count = sum(1 for _ in build_operator(node, ctx))
+    rows: list[tuple] = []
+    VectorPlanRunner(node, ctx).run_into(rows)
+    count = len(rows)
     db.meter.reset()
     db.catalog.functions.reset_counters()
     return count

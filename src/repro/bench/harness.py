@@ -101,10 +101,9 @@ def _operator_summary(
     """Flatten instrumented per-node actuals into report-friendly dicts,
     pre-order so the list reads like the plan tree.
 
-    ``batch_stats`` (instrumented vector runs only) embeds each node's
-    batch-granular actuals under a ``batch`` key; row-path records never
-    carry it, so row-recorded baselines stay byte-identical and
-    bench-diff treats the section as an informational note."""
+    ``batch_stats`` (instrumented runs only) embeds each node's
+    batch-granular actuals under a ``batch`` key; bench-diff treats the
+    section as an informational note, never a gated figure."""
     summary: list[dict] = []
     batch_map = batch_stats or {}
 
@@ -138,7 +137,6 @@ def run_strategies(
     provenance: bool = False,
     feedback: bool = False,
     telemetry: bool = False,
-    executor: str = "row",
     adaptive=None,
 ) -> list[StrategyOutcome]:
     """Optimize and (optionally) execute ``query`` under each strategy.
@@ -163,8 +161,6 @@ def run_strategies(
     roll-up lands in ``extras["resources"]`` (artifact-bound) and the
     monitor itself in ``extras["monitor"]`` for the export surface —
     like feedback, pure observation that never changes a plan.
-    ``executor`` selects the row-at-a-time (``"row"``, the default) or
-    batch-at-a-time (``"vector"``) execution path for every strategy.
     ``adaptive`` (an :class:`repro.adaptive.AdaptivePolicy`) arms
     mid-query re-optimization on each execution; the controller's
     report lands in ``extras["adaptive"]`` and its ``plan.replan``
@@ -208,7 +204,7 @@ def run_strategies(
             runner = Executor(
                 db, caching=caching, budget=budget, tracer=tracer,
                 profiler=profiler, collector=collector, monitor=monitor,
-                executor=executor, adaptive=adaptive, ledger=ledger,
+                adaptive=adaptive, ledger=ledger,
             )
             result = runner.execute(optimized.plan, instrument=instrument)
             outcome.charged = result.charged

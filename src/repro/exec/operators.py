@@ -1,35 +1,33 @@
-"""Physical operators: the executor half of each cost-model formula.
+"""Runtime context and per-row predicate evaluation.
 
-Each operator is an iterable over composite rows with a :class:`Scope`.
-Charging rules mirror :mod:`repro.cost.model` exactly:
+The batch engine (:mod:`repro.exec.vector`) is the only executor; this
+module holds what it shares with the per-row fallbacks it keeps:
 
-* sequential scans charge one sequential I/O per heap page (via the pool);
-* index probes charge one random I/O per touched B-tree node and one per
-  fetched heap tuple (via the pool, so hot pages may hit);
-* nested loop materialises the (filtered) inner once, then charges the
-  *base* relation's page count per outer-tuple rescan — the paper's
-  "constant irrespective of expensive selections on the inner";
-* sorts charge two sequential passes over the stream's pages;
-* every expensive-predicate evaluation charges the predicate's per-call
-  cost — unless the predicate cache already holds the binding's result.
+* :class:`RuntimeContext` — catalog, meter, cache and the optional
+  observation sinks every operator reads at run time;
+* :class:`OperatorStats` — one plan node's EXPLAIN ANALYZE actuals;
+* :func:`evaluate_predicate` — one predicate on one row, with charging,
+  caching and UDF failure containment. The batch engine's containment
+  path evaluates tuple by tuple through it, so retry, backoff and
+  quarantine behave the same under batching.
+
+Charging rules mirror :mod:`repro.cost.model`: every expensive-predicate
+evaluation charges the predicate's per-call cost, unless the predicate
+cache already holds the binding's result.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.catalog.catalog import Catalog
 from repro.cost.params import CostParams
-from repro.errors import ExecutionError, PlanError, UdfError
+from repro.errors import ExecutionError, UdfError
 from repro.exec.cache import PredicateCache
 from repro.exec.containment import ContainmentState
 from repro.expr.expressions import Scope
 from repro.expr.predicates import BoolBranch, BoolLeaf, Predicate
-from repro.plan.display import _node_label
-from repro.plan.nodes import Join, JoinMethod, PlanNode, Scan
-from repro.storage.meter import CostMeter, IOKind
+from repro.storage.meter import CostMeter
 
 
 @dataclass
@@ -44,9 +42,8 @@ class OperatorStats:
     ``charged`` is derived from the component ledgers exactly the way
     :attr:`repro.storage.meter.CostMeter.charged` is (I/O + join CPU +
     function cost), never accumulated independently: a node's total is
-    always self-consistent with its breakdown, and the row and vector
-    engines — which bracket meter deltas at different granularities
-    (per row vs per batch) — report bit-identical per-node actuals.
+    always self-consistent with its breakdown, and the per-node actuals
+    do not depend on the batch size the meter deltas were bracketed at.
     """
 
     rows_out: int = 0
@@ -88,8 +85,8 @@ class RuntimeContext:
     #: Predicates whose caching is bypassed because nearly every binding is
     #: distinct (the paper's Section 5.1 planned optimisation).
     bypass_ids: frozenset[int] = frozenset()
-    #: When not ``None``, :func:`build_operator` wraps every plan node in an
-    #: :class:`InstrumentedOperator` and records its actuals here, keyed by
+    #: When not ``None``, the build wraps every plan node in an
+    #: instrumented operator and records its actuals here, keyed by
     #: ``id(plan_node)`` (EXPLAIN ANALYZE mode).
     node_stats: dict[int, OperatorStats] | None = None
     #: When not ``None``, predicate evaluation runs under UDF failure
@@ -103,21 +100,19 @@ class RuntimeContext:
     #: hot path free of any feedback branch, like the other optional
     #: sinks above.
     collector: object | None = None
-    #: When not ``None``, live telemetry: :func:`build_operator` wraps
-    #: every node in a :class:`MonitoredOperator` reporting per-pull
-    #: progress, and ``evaluate_predicate`` reports each verdict via
-    #: ``monitor.observe_predicate`` (duck-typed: normally a
+    #: When not ``None``, live telemetry: the build wraps every node in
+    #: a monitored operator reporting per-batch progress, and predicate
+    #: evaluation reports its verdicts (duck-typed: normally a
     #: :class:`repro.obs.runtime_telemetry.RuntimeMonitor`). Same
     #: zero-overhead-when-off contract as ``collector``.
     monitor: object | None = None
-    #: When not ``None``, the vector executor additionally collects
+    #: When not ``None``, the executor additionally collects
     #: batch-granular actuals (batches, per-batch row histograms,
     #: selection-vector density per predicate, kernel self-time, cache
     #: hit rates) here, keyed by ``id(plan_node)`` — the batch-level
     #: companion of ``node_stats``. Values are
-    #: :class:`repro.exec.vector.BatchNodeStats`. The row path ignores
-    #: this field entirely; ``None`` keeps the batch hot loops free of
-    #: any stats branch.
+    #: :class:`repro.exec.vector.BatchNodeStats`; ``None`` keeps the
+    #: batch hot loops free of any stats branch.
     batch_stats: dict[int, object] | None = None
     #: When not ``None``, an execution flight recorder (duck-typed:
     #: normally a :class:`repro.obs.flightrec.FlightRecorder`) receiving
@@ -128,15 +123,17 @@ class RuntimeContext:
     #: When not ``None``, the adaptive mid-query re-optimization feed
     #: (duck-typed: normally a
     #: :class:`repro.adaptive.controller.AdaptiveController`). The build
-    #: wraps the spine leaf's raw source in a :class:`LeafFeedOperator`
-    #: (``feed.on_leaf_row`` fires at the safe splice boundary, *before*
-    #: the row enters any filter) and taps the nodes in ``feed.tap_ids``
-    #: with row counters (``feed.on_node_row``). With a feed installed,
-    #: scans and joins always get a :class:`FilterChain`, even when their
-    #: filter list is currently empty — a re-plan may move predicates
-    #: onto them mid-query, and the chain re-reads the live list per row.
-    #: ``None`` (always, unless ``--adaptive``) keeps every hot path and
-    #: the built operator shapes byte-identical to the baselines.
+    #: cuts the spine leaf's raw batches at the feed's safe splice
+    #: boundaries (``feed.on_boundary`` fires once every earlier leaf
+    #: row has flowed through the whole pipeline, *before* the next
+    #: row enters any filter) and taps the nodes in ``feed.tap_ids``
+    #: with row counters (``feed.on_node_rows``). With a feed
+    #: installed, scans and joins always get a filter operator, even
+    #: when their filter list is currently empty — a re-plan may move
+    #: predicates onto them mid-query, and the filter re-reads the live
+    #: list per batch. ``None`` (always, unless ``--adaptive``) keeps
+    #: every hot path and the built operator shapes byte-identical to
+    #: the baselines.
     feed: object | None = None
 
     def __post_init__(self) -> None:
@@ -314,524 +311,6 @@ def _evaluate_tree(
     return conjunctive
 
 
-class Operator:
-    """Base class: an iterable of composite rows with a fixed scope."""
-
-    scope: Scope
-
-    def __iter__(self) -> Iterator[tuple]:
-        raise NotImplementedError
-
-
-class FilterChain(Operator):
-    """Applies an ordered predicate list to a child's output."""
-
-    def __init__(
-        self, child: Operator, filters: list[Predicate], ctx: RuntimeContext
-    ) -> None:
-        self.child = child
-        self.filters = filters
-        self.ctx = ctx
-        self.scope = child.scope
-
-    def __iter__(self) -> Iterator[tuple]:
-        for row in self.child:
-            if all(
-                evaluate_predicate(predicate, row, self.scope, self.ctx)
-                for predicate in self.filters
-            ):
-                yield row
-
-
-class SeqScanOp(Operator):
-    def __init__(self, table: str, ctx: RuntimeContext) -> None:
-        entry = ctx.catalog.table(table)
-        if entry.heap is None:
-            raise ExecutionError(f"relation {table!r} has no heap file")
-        self.entry = entry
-        self.ctx = ctx
-        self.scope = Scope(
-            [(table, name) for name in entry.schema.attribute_names]
-        )
-
-    def __iter__(self) -> Iterator[tuple]:
-        yield from self.entry.heap.scan()
-
-
-class IndexScanOp(Operator):
-    """Range scan through a B-tree with random heap fetches (unclustered)."""
-
-    def __init__(
-        self,
-        table: str,
-        attribute: str,
-        low: object,
-        high: object,
-        ctx: RuntimeContext,
-    ) -> None:
-        entry = ctx.catalog.table(table)
-        if not entry.has_index(attribute):
-            raise ExecutionError(f"no index on {table}.{attribute}")
-        self.entry = entry
-        self.index = entry.index(attribute)
-        self.low = low
-        self.high = high
-        self.ctx = ctx
-        self.scope = Scope(
-            [(table, name) for name in entry.schema.attribute_names]
-        )
-
-    def __iter__(self) -> Iterator[tuple]:
-        for rid in self.index.range_search(self.low, self.high):
-            yield self.entry.heap.fetch_rid(rid)
-
-
-class NestedLoopJoinOp(Operator):
-    """Tuple-at-a-time nested loop; the only method that accepts an
-    arbitrary (possibly expensive) primary join predicate."""
-
-    def __init__(
-        self, join: Join, outer: Operator, inner: Operator, ctx: RuntimeContext
-    ) -> None:
-        self.join = join
-        self.outer = outer
-        self.inner = inner
-        self.ctx = ctx
-        self.scope = outer.scope.concat(inner.scope)
-        inner_node = join.inner
-        # The paper's constant-|S| rescan volume: the base relation's page
-        # count for a scan inner; for a bushy (joined) inner, the pages of
-        # the materialised intermediate.
-        if isinstance(inner_node, Scan):
-            self.inner_base_pages: int | None = ctx.catalog.table(
-                inner_node.table
-            ).pages
-        else:
-            self.inner_base_pages = None  # computed after materialisation
-
-    def __iter__(self) -> Iterator[tuple]:
-        meter = self.ctx.meter
-        cpu = self.ctx.params.cpu_per_tuple
-        inner_rows = list(self.inner)  # filters evaluated once, here
-        meter.charge_cpu(cpu * len(inner_rows))
-        rescan_pages = self.inner_base_pages
-        if rescan_pages is None:
-            width = _scope_width(self.inner.scope, self.ctx.catalog)
-            rescan_pages = int(
-                self.ctx.params.pages_for(len(inner_rows), width)
-            )
-        for outer_row in self.outer:
-            meter.charge_cpu(cpu)
-            # The paper's constant-|S| term: every outer tuple rescans the
-            # full inner's blocks.
-            meter.charge_io(IOKind.SEQUENTIAL, rescan_pages)
-            for inner_row in inner_rows:
-                row = outer_row + inner_row
-                if evaluate_predicate(
-                    self.join.primary, row, self.scope, self.ctx
-                ):
-                    yield row
-
-
-class IndexNestedLoopJoinOp(Operator):
-    """Index nested loop: probe the inner index per outer tuple."""
-
-    def __init__(self, join: Join, outer: Operator, ctx: RuntimeContext) -> None:
-        inner_scan = join.inner
-        if not isinstance(inner_scan, Scan):
-            raise PlanError("left-deep plans require a scan inner input")
-        columns = join.join_columns()
-        if columns is None:
-            raise PlanError("index nested loop requires an equijoin primary")
-        outer_column, inner_column = columns
-        entry = ctx.catalog.table(inner_scan.table)
-        if not entry.has_index(inner_column.attribute):
-            raise ExecutionError(
-                f"no index on {inner_column.table}.{inner_column.attribute}"
-            )
-        self.join = join
-        self.outer = outer
-        self.ctx = ctx
-        self.entry = entry
-        self.index = entry.index(inner_column.attribute)
-        self.inner_filters = inner_scan.filters
-        self.inner_scope = Scope(
-            [(inner_scan.table, name) for name in entry.schema.attribute_names]
-        )
-        self.outer_slot = outer.scope.slot(
-            outer_column.table, outer_column.attribute
-        )
-        self.scope = outer.scope.concat(self.inner_scope)
-
-    def __iter__(self) -> Iterator[tuple]:
-        cpu = self.ctx.params.cpu_per_tuple
-        for outer_row in self.outer:
-            self.ctx.meter.charge_cpu(cpu)
-            key = outer_row[self.outer_slot]
-            for rid in self.index.search(key):
-                inner_row = self.entry.heap.fetch_rid(rid)
-                if all(
-                    evaluate_predicate(
-                        predicate, inner_row, self.inner_scope, self.ctx
-                    )
-                    for predicate in self.inner_filters
-                ):
-                    yield outer_row + inner_row
-
-
-class MergeJoinOp(Operator):
-    """Sort-merge join on an equijoin primary."""
-
-    def __init__(
-        self, join: Join, outer: Operator, inner: Operator, ctx: RuntimeContext
-    ) -> None:
-        columns = join.join_columns()
-        if columns is None:
-            raise PlanError("merge join requires an equijoin primary")
-        outer_column, inner_column = columns
-        self.join = join
-        self.outer = outer
-        self.inner = inner
-        self.ctx = ctx
-        self.scope = outer.scope.concat(inner.scope)
-        self.outer_slot = outer.scope.slot(
-            outer_column.table, outer_column.attribute
-        )
-        self.inner_slot = inner.scope.slot(
-            inner_column.table, inner_column.attribute
-        )
-
-    def _sorted_rows(self, child: Operator, slot: int) -> list[tuple]:
-        rows = list(child)
-        rows.sort(key=lambda row: row[slot])
-        width = _scope_width(child.scope, self.ctx.catalog)
-        params = self.ctx.params
-        pages = int(params.pages_for(len(rows), width))
-        # External sort: two sequential I/Os per page per pass (write runs,
-        # read back), with extra merge passes for inputs beyond workspace.
-        self.ctx.meter.charge_io(
-            IOKind.SEQUENTIAL, 2 * pages * params.sort_passes(pages)
-        )
-        self.ctx.meter.charge_cpu(params.cpu_per_tuple * len(rows))
-        return rows
-
-    def __iter__(self) -> Iterator[tuple]:
-        outer_rows = self._sorted_rows(self.outer, self.outer_slot)
-        inner_rows = self._sorted_rows(self.inner, self.inner_slot)
-        inner_len = len(inner_rows)
-        inner_pos = 0
-        for outer_row in outer_rows:
-            key = outer_row[self.outer_slot]
-            while (
-                inner_pos < inner_len
-                and inner_rows[inner_pos][self.inner_slot] < key
-            ):
-                inner_pos += 1
-            probe = inner_pos
-            while (
-                probe < inner_len
-                and inner_rows[probe][self.inner_slot] == key
-            ):
-                yield outer_row + inner_rows[probe]
-                probe += 1
-
-
-class HashJoinOp(Operator):
-    """In-memory (or Grace, by charging) hash join on an equijoin primary."""
-
-    def __init__(
-        self, join: Join, outer: Operator, inner: Operator, ctx: RuntimeContext
-    ) -> None:
-        columns = join.join_columns()
-        if columns is None:
-            raise PlanError("hash join requires an equijoin primary")
-        outer_column, inner_column = columns
-        self.join = join
-        self.outer = outer
-        self.inner = inner
-        self.ctx = ctx
-        self.scope = outer.scope.concat(inner.scope)
-        self.outer_slot = outer.scope.slot(
-            outer_column.table, outer_column.attribute
-        )
-        self.inner_slot = inner.scope.slot(
-            inner_column.table, inner_column.attribute
-        )
-        #: Did the build side spill (Grace)? Decided per execution in
-        #: ``__iter__``; a Grace run buffers its *outer* too, making this
-        #: join a full pipeline breaker — the adaptive planner treats
-        #: every spine hash join as one, conservatively, since this flag
-        #: only settles at run time.
-        self.grace = False
-
-    def __iter__(self) -> Iterator[tuple]:
-        meter = self.ctx.meter
-        cpu = self.ctx.params.cpu_per_tuple
-        table: dict[object, list[tuple]] = {}
-        inner_count = 0
-        for inner_row in self.inner:
-            meter.charge_cpu(cpu)
-            table.setdefault(inner_row[self.inner_slot], []).append(inner_row)
-            inner_count += 1
-        inner_width = _scope_width(self.inner.scope, self.ctx.catalog)
-        inner_pages = self.ctx.params.pages_for(inner_count, inner_width)
-        if inner_pages > self.ctx.params.hash_memory_pages:
-            self.grace = True
-            # Grace hash join: partition both sides to disk and back.
-            outer_rows = list(self.outer)
-            outer_width = _scope_width(self.outer.scope, self.ctx.catalog)
-            outer_pages = self.ctx.params.pages_for(
-                len(outer_rows), outer_width
-            )
-            self.ctx.meter.charge_io(
-                IOKind.SEQUENTIAL, 2 * int(inner_pages + outer_pages)
-            )
-            outer_iter: Iterator[tuple] = iter(outer_rows)
-        else:
-            outer_iter = iter(self.outer)
-        for outer_row in outer_iter:
-            meter.charge_cpu(cpu)
-            for inner_row in table.get(outer_row[self.outer_slot], ()):
-                yield outer_row + inner_row
-
-
 def _scope_width(scope: Scope, catalog: Catalog) -> int:
     tables = sorted({table for table, _ in scope.columns})
     return sum(catalog.table(name).schema.tuple_width for name in tables)
-
-
-class InstrumentedOperator(Operator):
-    """Transparent wrapper measuring one plan node's actuals.
-
-    Every pull through the wrapped operator is bracketed with meter and
-    cache snapshots, so the deltas attribute all charges incurred while
-    this node's subtree ran (its own work plus its children's — inclusive,
-    like the estimates). Only constructed in EXPLAIN ANALYZE mode; the
-    default path never sees this class.
-    """
-
-    def __init__(
-        self, node: PlanNode, child: Operator, ctx: RuntimeContext
-    ) -> None:
-        assert ctx.node_stats is not None
-        self.child = child
-        self.ctx = ctx
-        self.scope = child.scope
-        self.stats = OperatorStats()
-        ctx.node_stats[id(node)] = self.stats
-
-    def __iter__(self) -> Iterator[tuple]:
-        meter = self.ctx.meter
-        cache = self.ctx.cache
-        stats = self.stats
-        iterator = iter(self.child)
-        while True:
-            io_before = meter.io_charged
-            cpu_before = meter.cpu_charged
-            function_before = meter.function_charged
-            hits_before = cache.stats.hits if cache is not None else 0
-            started = time.perf_counter()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                stats.wall_seconds += time.perf_counter() - started
-                stats.io_charged += meter.io_charged - io_before
-                stats.cpu_charged += meter.cpu_charged - cpu_before
-                stats.function_charged += (
-                    meter.function_charged - function_before
-                )
-                if cache is not None:
-                    stats.cache_hits += cache.stats.hits - hits_before
-                return
-            stats.wall_seconds += time.perf_counter() - started
-            stats.io_charged += meter.io_charged - io_before
-            stats.cpu_charged += meter.cpu_charged - cpu_before
-            stats.function_charged += meter.function_charged - function_before
-            if cache is not None:
-                stats.cache_hits += cache.stats.hits - hits_before
-            stats.rows_out += 1
-            yield row
-
-
-class MonitoredOperator(Operator):
-    """Transparent wrapper reporting one plan node's pulls to the live
-    telemetry monitor.
-
-    Construction marks the node *active* (a plan node with no operator —
-    an index-nested-loop join's inner scan — never activates and is
-    excluded from whole-plan progress). Each pull reports one row and
-    its wall-clock latency; exhaustion reports completion. Only
-    constructed when the context carries a ``monitor``; the default
-    path never sees this class.
-    """
-
-    def __init__(
-        self, node: PlanNode, child: Operator, ctx: RuntimeContext
-    ) -> None:
-        assert ctx.monitor is not None
-        self.child = child
-        self.monitor = ctx.monitor
-        self.key = id(node)
-        self.scope = child.scope
-        self.monitor.activate(self.key)
-
-    def __iter__(self) -> Iterator[tuple]:
-        monitor = self.monitor
-        key = self.key
-        iterator = iter(self.child)
-        while True:
-            started = time.perf_counter()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                monitor.on_done(key, time.perf_counter() - started)
-                return
-            monitor.on_row(key, time.perf_counter() - started)
-            yield row
-
-
-class FlightOperator(Operator):
-    """Transparent wrapper feeding the execution flight recorder on the
-    row path.
-
-    Rows are too fine-grained to record individually, so events fire at
-    power-of-two row counts — O(log n) events per node, each carrying
-    the cumulative charge so a postmortem can see where the meter stood
-    when the engine died. Monitor progress snapshots ride the same
-    milestones. Only constructed when the context carries a ``flight``
-    recorder; the default path never sees this class.
-    """
-
-    def __init__(
-        self, node: PlanNode, child: Operator, ctx: RuntimeContext
-    ) -> None:
-        assert ctx.flight is not None
-        self.child = child
-        self.ctx = ctx
-        self.flight = ctx.flight
-        self.label = _node_label(node)
-        self.scope = child.scope
-
-    def __iter__(self) -> Iterator[tuple]:
-        ctx = self.ctx
-        flight = self.flight
-        meter = ctx.meter
-        monitor = ctx.monitor
-        label = self.label
-        rows = 0
-        for row in self.child:
-            rows += 1
-            if (rows & (rows - 1)) == 0:
-                flight.record(
-                    "rows", op=label, rows=rows, charged=meter.charged
-                )
-                if monitor is not None:
-                    flight.record(
-                        "progress",
-                        op=label,
-                        rows=rows,
-                        fraction=round(monitor.progress(), 6),
-                    )
-            yield row
-        flight.record(
-            "op.done", op=label, rows=rows, charged=meter.charged
-        )
-
-
-class LeafFeedOperator(Operator):
-    """The adaptive safe boundary: wraps the spine leaf's *raw* source.
-
-    ``feed.on_leaf_row()`` fires after the leaf produces a row but
-    before that row enters any filter. The row pipeline is a synchronous
-    pull chain, so zero rows are in flight above the leaf at that
-    instant — the feed may splice a re-planned predicate placement into
-    the live filter lists and every row (including this one) is still
-    evaluated against each predicate exactly once. Only constructed when
-    the context carries a ``feed``; the default path never sees this
-    class.
-    """
-
-    def __init__(self, child: Operator, feed) -> None:
-        self.child = child
-        self.feed = feed
-        self.scope = child.scope
-
-    def __iter__(self) -> Iterator[tuple]:
-        feed = self.feed
-        for row in self.child:
-            feed.on_leaf_row()
-            yield row
-
-
-class TapOperator(Operator):
-    """Transparent row counter feeding the adaptive controller's join
-    fan-out observations. Charges nothing, changes nothing; only
-    constructed for nodes in ``feed.tap_ids``."""
-
-    def __init__(self, node: PlanNode, child: Operator, feed) -> None:
-        self.child = child
-        self.feed = feed
-        self.key = id(node)
-        self.scope = child.scope
-
-    def __iter__(self) -> Iterator[tuple]:
-        feed = self.feed
-        key = self.key
-        for row in self.child:
-            feed.on_node_row(key)
-            yield row
-
-
-def build_operator(node: PlanNode, ctx: RuntimeContext) -> Operator:
-    """Compile a plan tree into an operator tree (instrumented when the
-    context carries a ``node_stats`` sink, flight-recorded when it
-    carries a ``flight`` recorder, monitored when it carries a
-    ``monitor``)."""
-    operator = _build_operator(node, ctx)
-    feed = ctx.feed
-    if feed is not None and id(node) in feed.tap_ids:
-        operator = TapOperator(node, operator, feed)
-    if ctx.node_stats is not None:
-        operator = InstrumentedOperator(node, operator, ctx)
-    if ctx.flight is not None:
-        operator = FlightOperator(node, operator, ctx)
-    if ctx.monitor is not None:
-        operator = MonitoredOperator(node, operator, ctx)
-    return operator
-
-
-def _build_operator(node: PlanNode, ctx: RuntimeContext) -> Operator:
-    if isinstance(node, Scan):
-        if node.index_attr is not None:
-            low, high = node.index_range  # type: ignore[misc]
-            source: Operator = IndexScanOp(
-                node.table, node.index_attr, low, high, ctx
-            )
-        else:
-            source = SeqScanOp(node.table, ctx)
-        feed = ctx.feed
-        if feed is not None and id(node) == feed.leaf_id:
-            source = LeafFeedOperator(source, feed)
-        if node.filters or feed is not None:
-            return FilterChain(source, node.filters, ctx)
-        return source
-
-    if isinstance(node, Join):
-        outer = build_operator(node.outer, ctx)
-        if node.method is JoinMethod.INDEX_NESTED_LOOP:
-            joined: Operator = IndexNestedLoopJoinOp(node, outer, ctx)
-        else:
-            inner = build_operator(node.inner, ctx)
-            if node.method is JoinMethod.NESTED_LOOP:
-                joined = NestedLoopJoinOp(node, outer, inner, ctx)
-            elif node.method is JoinMethod.MERGE:
-                joined = MergeJoinOp(node, outer, inner, ctx)
-            elif node.method is JoinMethod.HASH:
-                joined = HashJoinOp(node, outer, inner, ctx)
-            else:  # pragma: no cover - exhaustive over enum
-                raise PlanError(f"unknown join method {node.method}")
-        if node.filters or ctx.feed is not None:
-            return FilterChain(joined, node.filters, ctx)
-        return joined
-
-    raise PlanError(f"cannot execute node type: {type(node).__name__}")

@@ -1,4 +1,11 @@
-"""The executor facade: run a plan, return rows plus charged-cost metrics."""
+"""The executor facade: run a plan, return rows plus charged-cost metrics.
+
+There is one execution engine, the batch-at-a-time columnar tree of
+:mod:`repro.exec.vector`; every run — instrumented, monitored,
+flight-recorded, contained or adaptive — goes through it. The
+tuple-at-a-time iterator tree it replaced survives only as the test
+suite's reference oracle, which pins the engine's rows and charges.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +14,14 @@ from dataclasses import dataclass, field
 
 from repro.adaptive.controller import AdaptiveController, AdaptivePolicy
 from repro.cost.model import CostModel
-from repro.errors import BudgetExceededError, ExecutionError, UdfError
+from repro.errors import BudgetExceededError, UdfError
 from repro.exec.cache import CacheStats, PredicateCache
 from repro.exec.containment import (
     ContainmentState,
     FailurePolicy,
     QuarantineReport,
 )
-from repro.exec.operators import (
-    OperatorStats,
-    RuntimeContext,
-    build_operator,
-)
+from repro.exec.operators import OperatorStats, RuntimeContext
 from repro.exec.vector import VectorPlanRunner
 from repro.storage.columnar import DEFAULT_BATCH_ROWS
 from repro.faults.clock import SimulatedClock
@@ -28,12 +31,6 @@ from repro.obs.provenance import NULL_LEDGER
 from repro.obs.tracer import NULL_TRACER
 from repro.plan.display import _node_label
 from repro.plan.nodes import Plan, PlanNode
-
-#: Execution engines the facade can dispatch to: the tuple-at-a-time
-#: iterator tree, or the batch-at-a-time columnar tree (identical row
-#: multisets and charge totals; the vector path is the fast one).
-EXECUTORS = ("row", "vector")
-
 
 @dataclass
 class QueryResult:
@@ -57,10 +54,10 @@ class QueryResult:
     #: the execution was instrumented (EXPLAIN ANALYZE).
     node_stats: dict[int, OperatorStats] | None = None
     #: Batch-granular actuals keyed by ``id(plan_node)`` (values are
-    #: :class:`~repro.exec.vector.BatchNodeStats`); filled only on
-    #: instrumented ``executor="vector"`` runs. ``None`` on the row path
-    #: — the row-path totals in ``node_stats`` are the parity-gated
-    #: figures and never change shape.
+    #: :class:`~repro.exec.vector.BatchNodeStats`); filled, like
+    #: ``node_stats``, only when the execution was instrumented. They
+    #: add to ``node_stats`` and never replace it: the per-node totals
+    #: there are the parity-gated figures and never change shape.
     batch_stats: dict[int, object] | None = None
     #: Structured DNF reason when ``completed`` is ``False`` — e.g.
     #: ``"budget: charged 1234.0 > budget 1000.0"`` or
@@ -102,6 +99,10 @@ class QueryResult:
 class Executor:
     """Runs plans against a :class:`~repro.database.Database`."""
 
+    #: The engine every execution runs on (reported by callers that
+    #: record which engine produced a result).
+    executor = "vector"
+
     def __init__(
         self,
         db,
@@ -118,7 +119,6 @@ class Executor:
         clock: SimulatedClock | None = None,
         collector=None,
         monitor=None,
-        executor: str = "row",
         batch_rows: int = DEFAULT_BATCH_ROWS,
         cache_capacity: int | None = None,
         flight=None,
@@ -148,15 +148,12 @@ class Executor:
         cost histograms, resource accounting (normally a
         :class:`~repro.obs.runtime_telemetry.RuntimeMonitor`; the
         default ``None`` keeps the hot path telemetry-free).
-        ``executor`` selects the engine: ``"row"`` (tuple-at-a-time,
-        the baseline whose charge stream all baselines are pinned to)
-        or ``"vector"`` (batch-at-a-time columnar, same rows and charge
-        totals, faster); ``batch_rows`` sizes the vector engine's
-        column batches. ``cache_capacity`` bounds the predicate cache's
-        *total* entry count across all predicates (global LRU/FIFO per
-        ``cache_replacement``), composing with the per-predicate
-        ``cache_limit``. ``flight`` attaches an execution flight
-        recorder (normally a
+        ``batch_rows`` sizes the engine's column batches (rows and
+        charges do not depend on it). ``cache_capacity`` bounds the
+        predicate cache's *total* entry count across all predicates
+        (global LRU/FIFO per ``cache_replacement``), composing with the
+        per-predicate ``cache_limit``. ``flight`` attaches an execution
+        flight recorder (normally a
         :class:`~repro.obs.flightrec.FlightRecorder`): operators emit
         bounded batch/milestone events into its ring buffer, and a
         budget- or UDF-aborted run marks the recorder tripped so the
@@ -165,23 +162,16 @@ class Executor:
         re-optimization under the given
         :class:`~repro.adaptive.controller.AdaptivePolicy`: the plan's
         predicate placement may be re-planned and spliced in place at
-        safe leaf boundaries when observed selectivities drift from
-        the declarations (adaptive runs always use the row engine —
-        with ``executor="vector"`` the boundary cadence becomes every
-        ``batch_rows`` leaf rows instead of power-of-two milestones);
-        ``ledger`` (a :class:`~repro.obs.ProvenanceLedger`) receives
-        the mandatory ``plan.replan``/``stats.drift`` events;
+        safe leaf boundaries (power-of-two leaf-row milestones) when
+        observed selectivities drift from the declarations; ``ledger``
+        (a :class:`~repro.obs.ProvenanceLedger`) receives the mandatory
+        ``plan.replan``/``stats.drift`` events;
         ``adaptive_stats_store`` plus ``adaptive_stats_meta`` (a
         :class:`~repro.obs.feedback.StatsFeedbackStore` and
         ``strategy``/``scale``/``seed`` metadata) make each applied
         re-plan snapshot its observations as a mid-query stats
         epoch."""
-        if executor not in EXECUTORS:
-            raise ExecutionError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
         self.db = db
-        self.executor = executor
         self.batch_rows = batch_rows
         self.cache_capacity = cache_capacity
         self.caching = caching
@@ -269,9 +259,7 @@ class Executor:
         node_stats: dict[int, OperatorStats] | None = (
             {} if instrument else None
         )
-        batch_stats: dict[int, object] | None = (
-            {} if instrument and self.executor == "vector" else None
-        )
+        batch_stats: dict[int, object] | None = {} if instrument else None
         containment = (
             ContainmentState(
                 self.failure_policy,
@@ -285,7 +273,7 @@ class Executor:
         monitor = self.monitor
         if monitor is not None:
             # Register every node's estimated work budget before any
-            # operator is built (MonitoredOperator activates at
+            # operator is built (monitored operators activate at
             # construction). The monitor's model mirrors this executor's
             # charging configuration.
             monitor.attach(
@@ -294,12 +282,9 @@ class Executor:
             )
         controller: AdaptiveController | None = None
         if self.adaptive is not None:
-            # Adaptive runs always drive the row pipeline — the vector
-            # engine has no safe splice point — but honour a vector
-            # request's batch granularity as the boundary cadence. The
-            # controller doubles as the feedback collector (tee-ing to
-            # any user-supplied one) so drift detection rides the
-            # existing evaluate_predicate bracket.
+            # The controller doubles as the feedback collector (tee-ing
+            # to any user-supplied one) so drift detection rides the
+            # engine's existing per-predicate observation bracket.
             controller = AdaptiveController(
                 node,
                 catalog=db.catalog,
@@ -310,9 +295,6 @@ class Executor:
                 collector=self.collector,
                 ledger=self.ledger if self.ledger is not None else NULL_LEDGER,
                 flight=self.flight,
-                cadence=(
-                    self.batch_rows if self.executor == "vector" else 0
-                ),
                 stats_store=self.adaptive_stats_store,
                 stats_meta=self.adaptive_stats_meta,
             )
@@ -343,23 +325,13 @@ class Executor:
             "execute", caching=self.caching, instrumented=instrument
         ) as span:
             try:
-                vectorized = (
-                    self.executor == "vector" and controller is None
-                )
                 with tracer.span("executor.build"), \
                         profiler.phase("exec.build"):
-                    if vectorized:
-                        runner = VectorPlanRunner(node, ctx, self.batch_rows)
-                    else:
-                        runner = build_operator(node, ctx)
+                    runner = VectorPlanRunner(node, ctx, self.batch_rows)
                 scope = runner.scope
                 with tracer.span("executor.run"), \
                         profiler.phase("exec.run"):
-                    if vectorized:
-                        runner.run_into(rows)
-                    else:
-                        for row in runner:
-                            rows.append(row)
+                    runner.run_into(rows)
             except BudgetExceededError as exc:
                 error = (
                     f"budget: charged {exc.charged:.1f} > "

@@ -1,4 +1,4 @@
-"""Batch-at-a-time (vectorized) execution: the row executor's fast twin.
+"""Batch-at-a-time (vectorized) execution: the program's one executor.
 
 Operators here consume and produce :class:`~repro.storage.columnar.
 ColumnBatch` objects instead of single rows, with three speed levers:
@@ -15,21 +15,38 @@ ColumnBatch` objects instead of single rows, with three speed levers:
   nested-loop primaries are matched by hash partitioning instead of
   evaluating the equality on every pair.
 
-Charging parity is the contract: a completed vector run charges exactly
-what the row executor charges (same ``charged``, ``io_charged``,
-``function_charged``, ``function_calls``, and — with unbounded caches —
-the same hit/miss counts), and produces the identical row multiset. Runs
-that exceed the cost budget DNF in both executors (charges accrue
-monotonically to the same total), though the partial ``charged`` at
-abort time may differ because batches charge in groups.
+Charging follows the paper's tuple-at-a-time discipline exactly: a
+completed run charges what a row-at-a-time iterator tree charges (same
+``charged``, ``io_charged``, ``function_charged``, ``function_calls``,
+and — with unbounded caches — the same hit/miss counts), and produces
+the identical row multiset. The test suite keeps such a tree as its
+reference oracle. Bulk charges respect the **budget frontier**: before
+each one the meter works out how many units fit under the budget
+(:meth:`~repro.storage.meter.CostMeter.affordable`), and the engine
+evaluates and charges only up to the unit that crosses it. A budget
+abort therefore lands within one charge quantum (one UDF call, one page
+I/O, one per-tuple CPU charge) of where the tuple-at-a-time tree stops,
+never a whole batch past it.
 
 Failure containment (`ctx.containment`) switches predicate evaluation to
-the row path's per-tuple contained loop, so retry/quarantine semantics —
-and the chaos suite's subset/superset audits — are preserved under
-batching. FeedbackCollector / RuntimeMonitor sinks are observed
-per batch via their ``observe_batch`` / ``observe_predicate_batch`` /
-``on_rows`` bulk hooks (with per-call fallbacks), and cost nothing when
-detached.
+the per-tuple contained loop of
+:func:`~repro.exec.operators.evaluate_predicate`, so retry/quarantine
+semantics — and the chaos suite's subset/superset audits — are
+preserved under batching. FeedbackCollector / RuntimeMonitor sinks are
+observed per batch via their ``observe_batch`` /
+``observe_predicate_batch`` / ``on_rows`` bulk hooks (with per-call
+fallbacks), and cost nothing when detached.
+
+Adaptive re-optimization (``ctx.feed``) splices a re-planned predicate
+placement in at *leaf boundaries*: the spine leaf's batches are cut at
+the controller's power-of-two milestones, a :data:`LEAF_BOUNDARY`
+marker travels up the spine behind the last batch before each one,
+every spine join flushes its partial output ahead of the marker, and
+whoever absorbs the marker (the plan root or a pipeline breaker) calls
+``feed.on_boundary()``. At that instant every earlier leaf row has
+flowed as far as it can go and no later row has entered a filter —
+exactly the observations a tuple-at-a-time pipeline has at that leaf
+row. Filters re-read their node's live filter list per batch.
 """
 
 from __future__ import annotations
@@ -160,7 +177,7 @@ def _compile_tree_walk(
     """Compile a cost-ordered boolean tree into a short-circuit closure.
 
     Each expensive leaf charges its per-call cost right after it
-    evaluates (evaluate-then-charge, like the row path's
+    evaluates (evaluate-then-charge, like the per-row
     ``_evaluate_tree``); pass ``meter=None`` under function-level
     caching, where the memoising wrappers do their own charging.
     """
@@ -254,12 +271,12 @@ class BatchPredicateStats:
 
 
 class BatchNodeStats:
-    """Batch-granular actuals for one plan node under the vector engine.
+    """Batch-granular actuals for one plan node.
 
     The batch-level companion of
     :class:`~repro.exec.operators.OperatorStats` — it never replaces the
-    row-path totals (those stay byte-identical to the row engine); it
-    *adds* what only exists under batching: how many batches flowed,
+    per-node totals (those do not depend on the batch size); it *adds*
+    what only exists under batching: how many batches flowed,
     their size distribution, and how the selection vector decayed
     through the node's filter chain.
     """
@@ -306,18 +323,19 @@ def _batch_node_stats(ctx: RuntimeContext, node: PlanNode) -> BatchNodeStats:
 
 class PredicateRunner:
     """Evaluates one predicate over binding batches with charging,
-    caching, and observation totals identical to the row path's
+    caching, and observation totals identical to the per-row
     ``_evaluate_once``.
 
     Bindings are tuples of the predicate's ``input_columns()`` values in
-    declaration order — exactly the row path's cache key — so predicate-
-    cache contents and hit/miss totals match the row executor whenever
-    the cache is unbounded (bounded caches are order-sensitive).
+    declaration order — exactly the per-row cache key — so predicate-
+    cache contents and hit/miss totals match a tuple-at-a-time run
+    whenever the cache is unbounded (bounded caches are order-sensitive).
 
     Function costs charge in bulk per batch (``cost × evaluations``,
-    via ``charge_function(cost, calls=n)``): total charge, call count,
-    and the completed/DNF verdict all match the row executor; only the
-    intermediate meter reading inside a batch differs. With feedback or
+    via ``charge_function(cost, calls=n)``) up to the budget frontier:
+    total charge, call count, and the completed/DNF verdict match a
+    tuple-at-a-time run, and a batch that crosses the budget evaluates
+    and charges nothing past the crossing call. With feedback or
     telemetry sinks attached, evaluation drops to a per-binding bracket
     so observations carry exact per-call costs.
     """
@@ -452,15 +470,21 @@ class PredicateRunner:
         if not n:
             return mask
         predicate = self.predicate
+        meter = ctx.meter
+        cost = predicate.cost_per_tuple
         if self.caching and not self.function_mode:
             # Predicate-level cache: per-binding lookups (hit/miss
-            # parity with the row path), misses charged in bulk.
+            # parity with the tuple-at-a-time discipline), misses
+            # charged in bulk. ``limit`` is the budget frontier: the
+            # miss that would cross the budget is charged — and raises —
+            # before any later binding runs.
             cache = ctx.cache
             lookup = cache.lookup
             store = cache.store
             pred_id = predicate.pred_id
             walk = self._walk
             kernel = self._kernel
+            limit = meter.affordable(cost, n)
             misses = 0
             for i, binding in enumerate(bindings):
                 found, value = lookup(pred_id, binding)
@@ -470,35 +494,62 @@ class PredicateRunner:
                     else:
                         value = kernel(binding)
                         misses += 1
+                        if misses == limit:
+                            meter.charge_function(cost, misses)
+                            misses = 0
+                            limit = meter.affordable(cost, n - i - 1)
                     store(pred_id, binding, value)
                 if value is True:
                     mask[i] = 1
             if misses:
-                ctx.meter.charge_function(predicate.cost_per_tuple, misses)
+                meter.charge_function(cost, misses)
             return mask
-        if self._direct_function is not None:
-            verdicts = self._direct_function.call_batch(bindings)
-            if predicate.is_expensive:
-                ctx.meter.charge_function(predicate.cost_per_tuple, n)
-            # batch-form verdicts are bools, which pack straight into
-            # the selection mask at C speed.
-            return bytearray(verdicts)
+        direct = self._direct_function
+        if direct is not None:
+            if not predicate.is_expensive:
+                return bytearray(direct.call_batch(bindings))
+            if meter.affordable(cost, n) == n:
+                verdicts = direct.call_batch(bindings)
+                meter.charge_function(cost, n)
+                # batch-form verdicts are bools, which pack straight
+                # into the selection mask at C speed.
+                return bytearray(verdicts)
+            # Budget frontier: dispatch (and pay for) only the calls up
+            # to the one that crosses the budget.
+            mask = bytearray()
+            start = 0
+            while start < n:
+                stop = start + meter.affordable(cost, n - start)
+                mask.extend(direct.call_batch(bindings[start:stop]))
+                meter.charge_function(cost, stop - start)
+                start = stop
+            return mask
         evaluate = self._walk if self._walk is not None else self._kernel
-        for i, binding in enumerate(bindings):
-            if evaluate(binding) is True:
-                mask[i] = 1
         if (
-            self._walk is None
-            and not self.function_mode
-            and predicate.is_expensive
+            self._walk is not None
+            or self.function_mode
+            or not predicate.is_expensive
         ):
-            ctx.meter.charge_function(predicate.cost_per_tuple, n)
+            # Free, or charged per call by the walk or the memoising
+            # wrappers: nothing to bulk-charge.
+            for i, binding in enumerate(bindings):
+                if evaluate(binding) is True:
+                    mask[i] = 1
+            return mask
+        start = 0
+        while start < n:
+            stop = start + meter.affordable(cost, n - start)
+            for i in range(start, stop):
+                if evaluate(bindings[i]) is True:
+                    mask[i] = 1
+            meter.charge_function(cost, stop - start)
+            start = stop
         return mask
 
     def _evaluate_observed(self, bindings: list[tuple]) -> bytearray:
         """Attached regime: bracket each evaluation with the meter's
         function-charge delta so batch observations carry the exact
-        per-call costs the row path would have reported."""
+        per-call costs."""
         mask = bytearray(len(bindings))
         if not bindings:
             return mask
@@ -577,6 +628,14 @@ def _input_slots(predicate: Predicate, scope: Scope) -> list[int]:
 # -- batch operators ---------------------------------------------------------
 
 
+#: The adaptive splice marker (never a batch). Only the spine leaf's
+#: feed emits it, only while an adaptive feed is attached; spine
+#: operators pass it upward (joins flush their partial output ahead of
+#: it) until the plan root or a pipeline breaker absorbs it and calls
+#: ``feed.on_boundary()``.
+LEAF_BOUNDARY = object()
+
+
 class BatchOperator:
     """Base: an iterable of :class:`ColumnBatch` with a fixed scope."""
 
@@ -640,9 +699,14 @@ class BatchFilter(BatchOperator):
 
     Each predicate fills a selection mask over the current survivors and
     the batch is compacted before the next predicate runs — so, exactly
-    like the row path's short-circuiting ``all()``, predicate *k* only
-    ever evaluates (and charges for) rows that passed predicates
+    like a tuple-at-a-time short-circuiting ``all()``, predicate *k*
+    only ever evaluates (and charges for) rows that passed predicates
     ``< k``.
+
+    ``filters`` is the plan node's own list, not a copy. Under an
+    adaptive feed the filter re-reads it before every batch, so a
+    re-plan that splices predicates in place at a leaf boundary applies
+    to every later batch.
     """
 
     def __init__(
@@ -657,23 +721,46 @@ class BatchFilter(BatchOperator):
         self.ctx = ctx
         self.scope = child.scope
         self.node_key = id(node) if node is not None else 0
+        self._live = ctx.feed is not None
+        self._stats: BatchNodeStats | None = None
+        if ctx.batch_stats is not None and node is not None:
+            self._stats = _batch_node_stats(ctx, node)
+        self._by_pred: dict[int, tuple] = {}
+        self._chain: tuple[int, ...] | None = None
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """(Re)compile the chain when the live filter list changed."""
+        chain = tuple(predicate.pred_id for predicate in self.filters)
+        if chain == self._chain:
+            return
+        self._chain = chain
+        ctx = self.ctx
+        entries = []
         #: Product of the chain's declared selectivities — what the
         #: optimizer expected the chain to keep (for the monitor's
         #: density-based refinement).
         self.declared_selectivity = 1.0
-        for predicate in filters:
+        for predicate in self.filters:
             self.declared_selectivity *= float(predicate.selectivity)
-        self._stats: BatchNodeStats | None = None
-        self._pred_stats: list[BatchPredicateStats] = []
-        if ctx.batch_stats is not None and node is not None:
-            self._stats = _batch_node_stats(ctx, node)
-            self._pred_stats = [BatchPredicateStats(p) for p in filters]
-            self._stats.predicates.extend(self._pred_stats)
-        if ctx.containment is None:
-            self._runners = [
-                (PredicateRunner(p, ctx), _input_slots(p, self.scope))
-                for p in filters
-            ]
+            entry = self._by_pred.get(predicate.pred_id)
+            if entry is None:
+                runner = (
+                    PredicateRunner(predicate, ctx)
+                    if ctx.containment is None
+                    else None
+                )
+                pstats = None
+                if self._stats is not None:
+                    pstats = BatchPredicateStats(predicate)
+                    self._stats.predicates.append(pstats)
+                entry = (
+                    runner, _input_slots(predicate, self.scope), pstats
+                )
+                self._by_pred[predicate.pred_id] = entry
+            entries.append(entry)
+        self._runners = [(runner, slots) for runner, slots, _ in entries]
+        self._pred_stats = [pstats for _, _, pstats in entries]
 
     def _density_hook(self):
         """The monitor's per-batch density callback, or ``None``."""
@@ -684,14 +771,20 @@ class BatchFilter(BatchOperator):
 
     def batches(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
+        live = self._live
+        stats = self._stats
+        on_filter_batch = self._density_hook()
         if ctx.containment is not None:
             # Containment slow path: per-tuple contained evaluation keeps
             # retry, backoff, and quarantine semantics row-identical.
             scope = self.scope
             filters = self.filters
-            stats = self._stats
-            on_filter_batch = self._density_hook()
             for batch in self.child.batches():
+                if batch is LEAF_BOUNDARY:
+                    yield batch
+                    continue
+                if live:
+                    self._refresh()
                 rows_in = batch.length
                 mask = bytearray(rows_in)
                 for i, row in enumerate(batch.iter_rows()):
@@ -713,11 +806,9 @@ class BatchFilter(BatchOperator):
                 if batch.length:
                     yield batch
             return
-        runners = self._runners
-        stats = self._stats
-        on_filter_batch = self._density_hook()
-        if stats is None and on_filter_batch is None:
+        if stats is None and on_filter_batch is None and not live:
             # Detached fast path: no stats branch anywhere in the loop.
+            runners = self._runners
             for batch in self.child.batches():
                 for runner, slots in runners:
                     if batch.length == 0:
@@ -727,13 +818,19 @@ class BatchFilter(BatchOperator):
                 if batch.length:
                     yield batch
             return
-        pred_stats = self._pred_stats or [None] * len(runners)
         cache = ctx.cache
         for batch in self.child.batches():
+            if batch is LEAF_BOUNDARY:
+                yield batch
+                continue
+            if live:
+                self._refresh()
             rows_in = batch.length
             if stats is not None:
                 stats.rows_in.observe(float(rows_in))
-            for (runner, slots), pstats in zip(runners, pred_stats):
+            for (runner, slots), pstats in zip(
+                self._runners, self._pred_stats
+            ):
                 if batch.length == 0:
                     break
                 if pstats is None:
@@ -790,18 +887,25 @@ class _BatchBuilder:
             self.rows.clear()
             yield ColumnBatch.from_rows(self.scope, rows)
 
+    def boundary(self) -> Iterator:
+        """At a leaf boundary: flush the partial batch, then forward the
+        marker — everything produced from earlier leaf rows goes up the
+        pipeline before the boundary does."""
+        yield from self.flush()
+        yield LEAF_BOUNDARY
+
 
 class BatchNestedLoopJoin(BatchOperator):
     """Nested loop over batches.
 
     Equijoin primaries with free equality predicates are matched by hash
     partitioning on the join key (None keys never match, like SQL ``=``)
-    — an O(|R|+|S|) evaluation of the same pair set the row executor
-    walks in O(|R|·|S|). Expensive, compound, or non-equality primaries
-    evaluate per pair through a compiled :class:`PredicateRunner`. All
-    metering (inner materialisation CPU, per-outer-tuple CPU and rescan
-    I/O, primary-predicate function charges) totals exactly what the row
-    operator charges.
+    — an O(|R|+|S|) evaluation of the same pair set a tuple-at-a-time
+    nested loop walks in O(|R|·|S|). Expensive, compound, or
+    non-equality primaries evaluate per pair through a compiled
+    :class:`PredicateRunner`. All metering (inner materialisation CPU,
+    per-outer-tuple CPU and rescan I/O, primary-predicate function
+    charges) totals exactly what a tuple-at-a-time nested loop charges.
     """
 
     def __init__(
@@ -861,12 +965,10 @@ class BatchNestedLoopJoin(BatchOperator):
 
     def batches(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
-        meter = ctx.meter
-        cpu = ctx.params.cpu_per_tuple
         inner_rows: list[tuple] = []
         for batch in self.inner.batches():  # filters evaluated once, here
             inner_rows.extend(batch.iter_rows())
-        meter.charge_cpu(cpu * len(inner_rows))
+        ctx.meter.charge_cpu(ctx.params.cpu_per_tuple * len(inner_rows))
         rescan_pages = self._rescan_pages(inner_rows)
         out = _BatchBuilder(self.scope, self.batch_rows)
         if self._hash_eligible:
@@ -875,6 +977,14 @@ class BatchNestedLoopJoin(BatchOperator):
             yield from self._pairwise(inner_rows, rescan_pages, out)
         yield from out.flush()
 
+    def _charge_outer(self, n: int, rescan_pages: int) -> None:
+        """Per-outer-tuple CPU plus the paper's constant-|S| rescan of
+        the inner's blocks, for ``n`` outer tuples, in bulk up to the
+        budget frontier."""
+        meter = self.ctx.meter
+        meter.charge_tuples(self.ctx.params.cpu_per_tuple, n)
+        meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
+
     def _hash_matched(
         self,
         inner_rows: list[tuple],
@@ -882,37 +992,34 @@ class BatchNestedLoopJoin(BatchOperator):
         out: _BatchBuilder,
     ) -> Iterator[ColumnBatch]:
         ctx = self.ctx
-        meter = ctx.meter
-        cpu = ctx.params.cpu_per_tuple
         inner_slot = self.inner_slot
+        outer_slot = self.outer_slot
         buckets: dict[object, list[tuple]] = {}
         for inner_row in inner_rows:
             key = inner_row[inner_slot]
             if key is not None:  # `=` on NULL is never true
                 buckets.setdefault(key, []).append(inner_row)
         attached = ctx.collector is not None or ctx.monitor is not None
-        pairs = 0
-        matches = 0
         pending = out.rows
         for obatch in self.outer.batches():
+            if obatch is LEAF_BOUNDARY:
+                yield from out.boundary()
+                continue
             n = obatch.length
-            meter.charge_cpu(cpu * n)
-            meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
-            if attached:
-                pairs += n * len(inner_rows)
-            outer_slot = self.outer_slot
+            self._charge_outer(n, rescan_pages)
+            matches = 0
             for outer_row in obatch.rows:
                 matched = buckets.get(outer_row[outer_slot])
                 if matched:
                     for inner_row in matched:
                         pending.append(outer_row + inner_row)
-                    if attached:
-                        matches += len(matched)
+                    matches += len(matched)
+            if attached and n and inner_rows:
+                # A tuple-at-a-time nested loop observes the (free)
+                # equality once per pair; report the same verdict
+                # totals, with zero charged cost, batch by batch.
+                self._observe_pairs(n * len(inner_rows), matches)
             yield from out.drain()
-        if attached and pairs:
-            # The row path observes the (free) equality once per pair;
-            # report the same verdict totals with zero charged cost.
-            self._observe_pairs(pairs, matches)
 
     def _observe_pairs(self, pairs: int, matches: int) -> None:
         ctx = self.ctx
@@ -935,17 +1042,16 @@ class BatchNestedLoopJoin(BatchOperator):
         out: _BatchBuilder,
     ) -> Iterator[ColumnBatch]:
         ctx = self.ctx
-        meter = ctx.meter
-        cpu = ctx.params.cpu_per_tuple
         primary = self.join.primary
         contained = ctx.containment is not None
         pending = out.rows
         scope = self.scope
         if contained:
             for obatch in self.outer.batches():
-                n = obatch.length
-                meter.charge_cpu(cpu * n)
-                meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
+                if obatch is LEAF_BOUNDARY:
+                    yield from out.boundary()
+                    continue
+                self._charge_outer(obatch.length, rescan_pages)
                 for outer_row in obatch.rows:
                     for inner_row in inner_rows:
                         row = outer_row + inner_row
@@ -968,9 +1074,10 @@ class BatchNestedLoopJoin(BatchOperator):
             inner_slot = (getters[1] if outer_first else getters[0])[1]
             inner_vals = [row[inner_slot] for row in inner_rows]
             for obatch in self.outer.batches():
-                n = obatch.length
-                meter.charge_cpu(cpu * n)
-                meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
+                if obatch is LEAF_BOUNDARY:
+                    yield from out.boundary()
+                    continue
+                self._charge_outer(obatch.length, rescan_pages)
                 for outer_row in obatch.rows:
                     ov = outer_row[outer_slot]
                     if outer_first:
@@ -983,9 +1090,10 @@ class BatchNestedLoopJoin(BatchOperator):
                 yield from out.drain()
             return
         for obatch in self.outer.batches():
-            n = obatch.length
-            meter.charge_cpu(cpu * n)
-            meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
+            if obatch is LEAF_BOUNDARY:
+                yield from out.boundary()
+                continue
+            self._charge_outer(obatch.length, rescan_pages)
             if inner_rows:
                 for outer_row in obatch.rows:
                     bindings = [
@@ -1003,7 +1111,7 @@ class BatchNestedLoopJoin(BatchOperator):
 
 class BatchIndexNestedLoopJoin(BatchOperator):
     """Index nested loop: probes stay in row order so buffer-pool hits
-    (and therefore random-I/O charges) match the row executor's."""
+    (and therefore random-I/O charges) match a tuple-at-a-time run's."""
 
     def __init__(
         self,
@@ -1038,11 +1146,22 @@ class BatchIndexNestedLoopJoin(BatchOperator):
             outer_column.table, outer_column.attribute
         )
         self.scope = outer.scope.concat(self.inner_scope)
-        if ctx.containment is None:
-            self._runners = [
-                (PredicateRunner(p, ctx), _input_slots(p, self.inner_scope))
-                for p in self.inner_filters
-            ]
+        self._by_pred: dict[int, tuple] = {}
+
+    def _inner_runners(self) -> list[tuple]:
+        """Compiled runners for the inner scan's filters, read from its
+        live list — an adaptive re-plan may splice predicates onto an
+        index-nested-loop inner mid-query."""
+        runners = []
+        for predicate in self.inner_filters:
+            entry = self._by_pred.get(predicate.pred_id)
+            if entry is None:
+                entry = self._by_pred[predicate.pred_id] = (
+                    PredicateRunner(predicate, self.ctx),
+                    _input_slots(predicate, self.inner_scope),
+                )
+            runners.append(entry)
+        return runners
 
     def batches(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
@@ -1054,7 +1173,10 @@ class BatchIndexNestedLoopJoin(BatchOperator):
         out = _BatchBuilder(self.scope, self.batch_rows)
         pending = out.rows
         for obatch in self.outer.batches():
-            meter.charge_cpu(cpu * obatch.length)
+            if obatch is LEAF_BOUNDARY:
+                yield from out.boundary()
+                continue
+            meter.charge_tuples(cpu, obatch.length)
             outer_slot = self.outer_slot
             outer_rows = obatch.rows
             # Probe in row order; collect fetched pairs for batch filtering.
@@ -1073,7 +1195,7 @@ class BatchIndexNestedLoopJoin(BatchOperator):
                     ):
                         pending.append(outer_rows[i] + inner_row)
             else:
-                for runner, slots in self._runners:
+                for runner, slots in self._inner_runners():
                     if not pairs:
                         break
                     bindings = [
@@ -1089,7 +1211,8 @@ class BatchIndexNestedLoopJoin(BatchOperator):
 
 
 class BatchMergeJoin(BatchOperator):
-    """Sort-merge join; sort and CPU charges mirror the row operator."""
+    """Sort-merge join; sort and CPU charges follow the cost model's
+    external-sort formula."""
 
     def __init__(
         self,
@@ -1119,6 +1242,11 @@ class BatchMergeJoin(BatchOperator):
     def _sorted_rows(self, child: BatchOperator, slot: int) -> list[tuple]:
         rows: list[tuple] = []
         for batch in child.batches():
+            if batch is LEAF_BOUNDARY:
+                # A sort is a pipeline breaker: nothing above it has
+                # seen a row yet, so the boundary ends here.
+                self.ctx.feed.on_boundary()
+                continue
             rows.extend(batch.iter_rows())
         rows.sort(key=lambda row: row[slot])
         width = _scope_width(child.scope, self.ctx.catalog)
@@ -1156,8 +1284,9 @@ class BatchMergeJoin(BatchOperator):
 
 
 class BatchHashJoin(BatchOperator):
-    """Hash join; build/probe CPU and Grace-spill charges mirror the row
-    operator (bulk-charged per batch)."""
+    """Hash join; build/probe CPU (bulk-charged per batch) and the
+    Grace-spill partitioning I/O when the build side exceeds hash
+    memory."""
 
     def __init__(
         self,
@@ -1192,7 +1321,7 @@ class BatchHashJoin(BatchOperator):
         table: dict[object, list[tuple]] = {}
         inner_count = 0
         for batch in self.inner.batches():
-            meter.charge_cpu(cpu * batch.length)
+            meter.charge_tuples(cpu, batch.length)
             inner_count += batch.length
             for inner_row in batch.iter_rows():
                 table.setdefault(inner_row[inner_slot], []).append(inner_row)
@@ -1203,7 +1332,14 @@ class BatchHashJoin(BatchOperator):
         outer_slot = self.outer_slot
         if inner_pages > ctx.params.hash_memory_pages:
             # Grace hash join: partition both sides to disk and back.
-            outer_batches = list(self.outer.batches())
+            # Buffering the outer makes this a pipeline breaker, so a
+            # leaf boundary ends here.
+            outer_batches = []
+            for batch in self.outer.batches():
+                if batch is LEAF_BOUNDARY:
+                    ctx.feed.on_boundary()
+                else:
+                    outer_batches.append(batch)
             outer_count = sum(batch.length for batch in outer_batches)
             outer_width = _scope_width(self.outer.scope, ctx.catalog)
             outer_pages = ctx.params.pages_for(outer_count, outer_width)
@@ -1213,7 +1349,10 @@ class BatchHashJoin(BatchOperator):
         else:
             outer_batches = self.outer.batches()
         for obatch in outer_batches:
-            meter.charge_cpu(cpu * obatch.length)
+            if obatch is LEAF_BOUNDARY:
+                yield from out.boundary()
+                continue
+            meter.charge_tuples(cpu, obatch.length)
             for outer_row in obatch.rows:
                 matched = table.get(outer_row[outer_slot])
                 if matched:
@@ -1224,11 +1363,15 @@ class BatchHashJoin(BatchOperator):
 
 
 # -- instrumentation / telemetry wrappers ------------------------------------
+#
+# Every wrapper passes LEAF_BOUNDARY markers through untouched: a marker
+# is not a batch, so it counts no rows and records no events.
 
 
 class InstrumentedBatchOperator(BatchOperator):
-    """Batch analogue of ``InstrumentedOperator``: meter/cache deltas are
-    bracketed around each batch pull, inclusive of the node's subtree."""
+    """Measures one plan node's actuals: meter/cache deltas are
+    bracketed around each batch pull, inclusive of the node's subtree.
+    Only constructed in EXPLAIN ANALYZE mode."""
 
     def __init__(
         self, node: PlanNode, child: BatchOperator, ctx: RuntimeContext
@@ -1257,35 +1400,29 @@ class InstrumentedBatchOperator(BatchOperator):
             function_before = meter.function_charged
             hits_before = cache.stats.hits if cache is not None else 0
             started = time.perf_counter()
-            try:
-                batch = next(iterator)
-            except StopIteration:
-                stats.wall_seconds += time.perf_counter() - started
-                stats.io_charged += meter.io_charged - io_before
-                stats.cpu_charged += meter.cpu_charged - cpu_before
-                stats.function_charged += (
-                    meter.function_charged - function_before
-                )
-                if cache is not None:
-                    stats.cache_hits += cache.stats.hits - hits_before
-                return
+            batch = next(iterator, None)
             stats.wall_seconds += time.perf_counter() - started
             stats.io_charged += meter.io_charged - io_before
             stats.cpu_charged += meter.cpu_charged - cpu_before
             stats.function_charged += meter.function_charged - function_before
             if cache is not None:
                 stats.cache_hits += cache.stats.hits - hits_before
-            stats.rows_out += batch.length
-            if batch_stats is not None:
-                batch_stats.batches += 1
-                batch_stats.rows_out.observe(float(batch.length))
+            if batch is None:
+                return
+            if batch is not LEAF_BOUNDARY:
+                stats.rows_out += batch.length
+                if batch_stats is not None:
+                    batch_stats.batches += 1
+                    batch_stats.rows_out.observe(float(batch.length))
             yield batch
 
 
 class MonitoredBatchOperator(BatchOperator):
-    """Batch analogue of ``MonitoredOperator``: activation at
-    construction, one bulk row report per batch, completion on
-    exhaustion. Uses the monitor's ``on_rows`` bulk hook when present."""
+    """Reports one plan node's pulls to the live telemetry monitor:
+    activation at construction (a plan node with no operator — an
+    index-nested-loop join's inner scan — never activates), one bulk row
+    report per batch, completion on exhaustion. Uses the monitor's
+    ``on_rows`` bulk hook when present."""
 
     def __init__(
         self, node: PlanNode, child: BatchOperator, ctx: RuntimeContext
@@ -1304,12 +1441,14 @@ class MonitoredBatchOperator(BatchOperator):
         iterator = self.child.batches()
         while True:
             started = time.perf_counter()
-            try:
-                batch = next(iterator)
-            except StopIteration:
-                monitor.on_done(key, time.perf_counter() - started)
-                return
+            batch = next(iterator, None)
             elapsed = time.perf_counter() - started
+            if batch is None:
+                monitor.on_done(key, elapsed)
+                return
+            if batch is LEAF_BOUNDARY:
+                yield batch
+                continue
             if on_rows is not None:
                 on_rows(key, batch.length, elapsed)
             else:
@@ -1347,6 +1486,9 @@ class FlightBatchOperator(BatchOperator):
         label = self.label
         count = 0
         for batch in self.child.batches():
+            if batch is LEAF_BOUNDARY:
+                yield batch
+                continue
             count += 1
             flight.record(
                 "batch",
@@ -1368,6 +1510,75 @@ class FlightBatchOperator(BatchOperator):
         )
 
 
+# -- adaptive feed -----------------------------------------------------------
+
+
+class BatchLeafFeed(BatchOperator):
+    """The adaptive safe boundary: wraps the spine leaf's *raw* source.
+
+    Raw batches are cut at the feed's power-of-two leaf-row milestones
+    (capped at ``batch_rows``), and a :data:`LEAF_BOUNDARY` marker goes
+    up the spine ahead of the piece that starts at each milestone —
+    before any of its rows enters a filter. Once the feed disables
+    itself (re-plan budget spent), batches pass through uncut. Only
+    constructed when the context carries a ``feed``.
+    """
+
+    def __init__(
+        self, child: BatchOperator, feed, batch_rows: int
+    ) -> None:
+        self.child = child
+        self.feed = feed
+        self.batch_rows = batch_rows
+        self.scope = child.scope
+
+    def batches(self) -> Iterator[ColumnBatch]:
+        feed = self.feed
+        scope = self.scope
+        rows = 0  # leaf rows handed up so far
+        for batch in self.child.batches():
+            start = 0
+            while start < batch.length:
+                size = min(batch.length - start, self.batch_rows)
+                if feed.active:
+                    position = rows + 1  # the next leaf row, 1-based
+                    if position & (position - 1) == 0:
+                        yield LEAF_BOUNDARY
+                    size = min(
+                        size, (1 << position.bit_length()) - position
+                    )
+                if start == 0 and size == batch.length:
+                    piece = batch
+                else:
+                    piece = ColumnBatch(
+                        scope, batch.rows[start:start + size]
+                    )
+                start += size
+                rows += size
+                feed.on_leaf_rows(size)
+                yield piece
+
+
+class BatchTap(BatchOperator):
+    """Transparent row counter feeding the adaptive controller's join
+    fan-out observations. Charges nothing, changes nothing; only
+    constructed for nodes in ``feed.tap_ids``."""
+
+    def __init__(self, node: PlanNode, child: BatchOperator, feed) -> None:
+        self.child = child
+        self.feed = feed
+        self.key = id(node)
+        self.scope = child.scope
+
+    def batches(self) -> Iterator[ColumnBatch]:
+        feed = self.feed
+        key = self.key
+        for batch in self.child.batches():
+            if batch is not LEAF_BOUNDARY:
+                feed.on_node_rows(key, batch.length)
+            yield batch
+
+
 # -- plan compilation --------------------------------------------------------
 
 
@@ -1376,10 +1587,14 @@ def build_batch_operator(
     ctx: RuntimeContext,
     batch_rows: int = DEFAULT_BATCH_ROWS,
 ) -> BatchOperator:
-    """Compile a plan tree into a batch-operator tree (instrumented /
-    monitored exactly like :func:`repro.exec.operators.build_operator`,
-    flight-recorded when the context carries a recorder)."""
+    """Compile a plan tree into a batch-operator tree (tapped under an
+    adaptive feed, instrumented when the context carries a
+    ``node_stats`` sink, flight-recorded when it carries a recorder,
+    monitored when it carries a ``monitor``)."""
     operator = _build_batch_operator(node, ctx, batch_rows)
+    feed = ctx.feed
+    if feed is not None and id(node) in feed.tap_ids:
+        operator = BatchTap(node, operator, feed)
     if ctx.node_stats is not None:
         operator = InstrumentedBatchOperator(node, operator, ctx)
     if ctx.flight is not None:
@@ -1392,6 +1607,7 @@ def build_batch_operator(
 def _build_batch_operator(
     node: PlanNode, ctx: RuntimeContext, batch_rows: int
 ) -> BatchOperator:
+    feed = ctx.feed
     if isinstance(node, Scan):
         if node.index_attr is not None:
             low, high = node.index_range  # type: ignore[misc]
@@ -1400,7 +1616,9 @@ def _build_batch_operator(
             )
         else:
             source = BatchSeqScan(node.table, ctx, batch_rows)
-        if node.filters:
+        if feed is not None and id(node) == feed.leaf_id:
+            source = BatchLeafFeed(source, feed, batch_rows)
+        if node.filters or feed is not None:
             return BatchFilter(source, node.filters, ctx, node)
         return source
 
@@ -1422,7 +1640,7 @@ def _build_batch_operator(
                 joined = BatchHashJoin(node, outer, inner, ctx, batch_rows)
             else:  # pragma: no cover - exhaustive over enum
                 raise PlanError(f"unknown join method {node.method}")
-        if node.filters:
+        if node.filters or feed is not None:
             return BatchFilter(joined, node.filters, ctx, node)
         return joined
 
@@ -1431,7 +1649,9 @@ def _build_batch_operator(
 
 class VectorPlanRunner:
     """Row-iterable adapter over a batch-operator tree — what the
-    executor facade runs when ``executor="vector"``."""
+    executor facade runs. At the plan root it absorbs
+    :data:`LEAF_BOUNDARY` markers: every row produced before a marker
+    has been collected when ``feed.on_boundary()`` fires."""
 
     def __init__(
         self,
@@ -1439,26 +1659,21 @@ class VectorPlanRunner:
         ctx: RuntimeContext,
         batch_rows: int = DEFAULT_BATCH_ROWS,
     ) -> None:
-        if ctx.feed is not None:
-            # Defensive: batch operators snapshot compiled predicate
-            # runners at build time and park remainder rows between
-            # operators, so a mid-query re-plan has no safe splice
-            # point here. The executor facade routes adaptive runs to
-            # the row engine (batch-rows cadence); reaching this branch
-            # means a caller wired a feed straight into the vector
-            # path.
-            raise ExecutionError(
-                "adaptive re-optimization requires the row engine; "
-                "the vector path cannot splice a re-planned suffix"
-            )
+        self.feed = ctx.feed
         self.operator = build_batch_operator(node, ctx, batch_rows)
         self.scope = self.operator.scope
 
     def __iter__(self) -> Iterator[tuple]:
         for batch in self.operator.batches():
+            if batch is LEAF_BOUNDARY:
+                self.feed.on_boundary()
+                continue
             yield from batch.iter_rows()
 
     def run_into(self, rows: list[tuple]) -> None:
         """Collect all output rows with batch-level extends."""
         for batch in self.operator.batches():
+            if batch is LEAF_BOUNDARY:
+                self.feed.on_boundary()
+                continue
             rows.extend(batch.iter_rows())

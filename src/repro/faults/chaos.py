@@ -179,7 +179,6 @@ class ChaosReport:
     retries: int
     strategies: tuple[str, ...]
     seeds: tuple[int, ...]
-    executor: str = "row"
     #: Whether each run was paired with an adaptive twin (and the policy
     #: knobs it ran under).
     adaptive: bool = False
@@ -225,7 +224,6 @@ class ChaosReport:
             "retries": self.retries,
             "strategies": list(self.strategies),
             "seeds": list(self.seeds),
-            "executor": self.executor,
             "adaptive": self.adaptive,
             "drift_threshold": self.drift_threshold,
             "max_replans": self.max_replans,
@@ -376,7 +374,6 @@ def run_chaos(
     profile: str = "mixed",
     planner_fault_rate: float = 0.25,
     telemetry: bool = False,
-    executor: str = "row",
     flight_dir: str | None = None,
     adaptive: bool = False,
     drift_threshold: float | None = None,
@@ -399,10 +396,6 @@ def run_chaos(
     progress must end at exactly 1.0, an aborted one must be frozen
     with a structured reason — violations land in the report like any
     other invariant breach.
-
-    ``executor`` selects the execution path (``"row"`` or ``"vector"``)
-    for the oracle and every strategy run alike, so the
-    subset/superset-vs-oracle audits hold under batching too.
 
     ``flight_dir`` attaches an execution
     :class:`~repro.obs.flightrec.FlightRecorder` (timestamped on the
@@ -448,7 +441,6 @@ def run_chaos(
         retries=retries,
         strategies=tuple(strategies),
         seeds=tuple(seeds),
-        executor=executor,
         adaptive=adaptive,
         drift_threshold=drift_threshold,
         max_replans=max_replans,
@@ -467,7 +459,7 @@ def run_chaos(
 
     oracle_plan = optimize(db, workload.query, strategy="pushdown")
     oracle = sorted(
-        Executor(db, executor=executor)
+        Executor(db)
         .execute(oracle_plan.plan, project=project)
         .rows
     )
@@ -562,7 +554,6 @@ def run_chaos(
                     failure_policy=failure_policy,
                     clock=injector.clock,
                     monitor=monitor,
-                    executor=executor,
                     flight=recorder,
                 )
                 fired_before = injector.stats.errors_injected
@@ -617,7 +608,6 @@ def run_chaos(
                         recorder,
                         workload=workload_key,
                         reason=result.error,
-                        executor=executor,
                         strategy=strategy,
                         seed=seed,
                         result=result,
@@ -650,7 +640,6 @@ def run_chaos(
                         adaptive_policy,
                         recoverable=recoverable,
                         policy=policy,
-                        executor=executor,
                         flight_dir=flight_dir,
                         seed=seed,
                     )
@@ -673,7 +662,6 @@ def _run_adaptive_twin(
     *,
     recoverable: bool,
     policy: str,
-    executor: str,
     flight_dir: str | None,
     seed: int,
 ) -> None:
@@ -706,7 +694,6 @@ def _run_adaptive_twin(
         db,
         failure_policy=failure_policy,
         clock=injector.clock,
-        executor=executor,
         flight=recorder,
         adaptive=adaptive_policy,
         ledger=ledger,
@@ -773,7 +760,6 @@ def _run_adaptive_twin(
             recorder,
             workload=workload_key,
             reason=result.error,
-            executor=executor,
             strategy=strategy,
             seed=seed,
             result=result,

@@ -393,9 +393,9 @@ _RESOURCE_NOTE_KEYS = (
 
 
 def _batch_totals(record: dict) -> dict[str, int] | None:
-    """Per-operator batch counts from a record's vector batch actuals,
-    or ``None`` when the record carries none (every row-path record —
-    batch actuals are embedded only by instrumented vector runs)."""
+    """Per-operator batch counts from a record's batch actuals, or
+    ``None`` when the record carries none (batch actuals are embedded
+    only by instrumented runs)."""
     operators = record.get("operators")
     if not isinstance(operators, list):
         return None
@@ -725,8 +725,8 @@ def diff_artifacts(
                         )
                     )
 
-        # Batch-granular actuals exist only on instrumented vector
-        # records; a row-vs-vector diff is expected to be one-sided.
+        # Batch-granular actuals exist only on instrumented records; a
+        # diff against an uninstrumented record is one-sided.
         base_batches = _batch_totals(base)
         cand_batches = _batch_totals(cand)
         if (base_batches is None) != (cand_batches is None):
@@ -735,9 +735,8 @@ def diff_artifacts(
                 Finding(
                     "note", workload, strategy, "batch",
                     f"batch actuals recorded only in the {side} run "
-                    "(vector-engine instrumentation; row-path records "
-                    "never carry them) — row-path totals remain the "
-                    "gated figures",
+                    "(only instrumented runs carry them) — the per-node "
+                    "totals remain the gated figures",
                 )
             )
         if base_batches is not None and cand_batches is not None:

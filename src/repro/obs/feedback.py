@@ -234,7 +234,7 @@ class FeedbackCollector:
         charged_calls: int,
         charged_cost: float,
     ) -> None:
-        """Fold one batch of verdicts in at once — the vector executor's
+        """Fold one batch of verdicts in at once — the executor's
         bulk equivalent of ``evaluated`` :meth:`observe` calls, with
         identical tally totals."""
         tally = self._tallies.get(predicate.pred_id)

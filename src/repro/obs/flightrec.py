@@ -10,9 +10,9 @@ what the engine was doing in its final batches.
 The :class:`FlightRecorder` is a fixed-capacity ring buffer riding
 :class:`~repro.exec.operators.RuntimeContext` as a None-guarded
 ``flight`` hook (the ``collector``/``monitor`` pattern — zero overhead
-when detached). Operators append bounded events — one per emitted batch
-on the vector path, power-of-two row milestones on the row path, plus
-containment retry/quarantine events and monitor progress snapshots —
+when detached). Operators append bounded events — one per emitted
+batch, plus containment retry/quarantine events, adaptive re-plans and
+monitor progress snapshots —
 and old events fall off the front, so memory stays O(capacity) no
 matter how long the run.
 
@@ -125,7 +125,6 @@ def build_flight_dump(
     *,
     workload: str,
     reason: str,
-    executor: str = "row",
     strategy: str = "",
     seed: int | None = None,
     result=None,
@@ -148,7 +147,6 @@ def build_flight_dump(
         "schema_version": FLIGHT_SCHEMA_VERSION,
         "kind": "flight",
         "workload": workload,
-        "executor": executor,
         "reason": reason,
         "capacity": recorder.capacity,
         "events_recorded": recorder.recorded,
@@ -297,10 +295,7 @@ def format_postmortem(document: dict, last: int = 12) -> str:
     if seed is not None:
         title += f" seed={seed}"
     lines.append(title)
-    lines.append(
-        f"executor={document.get('executor', 'row')}  "
-        f"reason: {document.get('reason', '')}"
-    )
+    lines.append(f"reason: {document.get('reason', '')}")
     died_in = document.get("last_operator")
     if died_in:
         lines.append(f"died in: {died_in}")

@@ -181,12 +181,14 @@ class RuntimeMonitor:
 
     Lifecycle: the executor calls :meth:`attach` with the plan and its
     cost model before building operators; each
-    :class:`~repro.exec.operators.MonitoredOperator` calls
-    :meth:`activate` at construction and :meth:`on_row`/:meth:`on_done`
-    per pull; ``evaluate_predicate`` calls :meth:`observe_predicate`
-    per verdict; the executor finishes with :meth:`complete` (success)
-    or :meth:`freeze` (DNF). All callbacks are cheap tallies — no
-    allocation on the per-row path beyond the first touch of a key.
+    :class:`~repro.exec.vector.MonitoredBatchOperator` calls
+    :meth:`activate` at construction and :meth:`on_rows`/:meth:`on_done`
+    per batch pull; predicate evaluation reports its verdicts through
+    :meth:`observe_predicate_batch` (:meth:`observe_predicate` per
+    verdict on the contained path); the executor finishes with
+    :meth:`complete` (success) or :meth:`freeze` (DNF). All callbacks
+    are cheap tallies — no allocation on the hot path beyond the first
+    touch of a key.
     """
 
     def __init__(
@@ -300,7 +302,8 @@ class RuntimeMonitor:
     # -- operator callbacks --------------------------------------------------
 
     def activate(self, key: int) -> None:
-        """A MonitoredOperator for this node was constructed — it counts."""
+        """A monitored operator for this node was constructed — it
+        counts."""
         operator = self.operators.get(key)
         if operator is None:
             # A node that was not registered at attach time (defensive;
@@ -346,7 +349,7 @@ class RuntimeMonitor:
 
     def on_rows(self, key: int, count: int, seconds: float) -> None:
         """Bulk row report: one batch of ``count`` rows pulled in
-        ``seconds`` — the vector executor's equivalent of ``count``
+        ``seconds`` — the batch equivalent of ``count``
         :meth:`on_row` calls. Progress stays monotone (same max-clamp
         and estimate-growth rules); the latency histogram records one
         batch-level sample, which is fine because pull-latency
@@ -412,7 +415,7 @@ class RuntimeMonitor:
     def observe_predicate_batch(
         self, predicate, evaluated: int, passed: int, charges
     ) -> None:
-        """Bulk verdict report from the vector executor: ``evaluated``
+        """Bulk verdict report from a batch of evaluations: ``evaluated``
         evaluations of which ``passed`` were true, with ``charges`` the
         per-evaluation charged costs for the histogram (may be shorter
         than ``evaluated`` — e.g. empty for a hash-matched free equijoin,

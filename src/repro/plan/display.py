@@ -258,12 +258,12 @@ def explain_analyze(
     node's subtree, matching the cost model's convention.
 
     ``batch_stats`` is :attr:`QueryResult.batch_stats` from an
-    instrumented *vector* execution: when present, each node gains a
+    instrumented execution: when present, each node gains a
     ``· batches=…`` line (batch count, per-batch row min/median/max in
     and out) and each filter gains selection-vector density before/after
     the kernel, observed selectivity, kernel self time, and predicate
-    cache hit rate. The row-path ``act`` figures are untouched — they
-    stay byte-identical with the row engine's.
+    cache hit rate. The per-node ``act`` figures are untouched — they
+    read the same with or without the batch layer.
     """
     root = plan.root if isinstance(plan, Plan) else plan
     stats_map = node_stats or {}

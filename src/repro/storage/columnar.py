@@ -1,4 +1,4 @@
-"""Columnar batches over heap pages: the vector executor's data carrier.
+"""Columnar batches over heap pages: the executor's data carrier.
 
 A :class:`ColumnBatch` covers a run of rows under one :class:`Scope`.
 Storage is row-major (tuples straight off the heap pages or out of a
@@ -21,8 +21,7 @@ without it.
 
 The batch reader (:func:`batches_from_heap`) sits on the existing
 :meth:`~repro.storage.heap.HeapFile.scan_pages`, so sequential I/O is
-charged per heap page through the buffer pool exactly as the row
-executor charges it.
+charged per heap page through the buffer pool, one page at a time.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ def batches_from_heap(
 
     Pages are pulled through :meth:`HeapFile.scan_pages`, which charges
     one sequential I/O per page via the buffer pool — the identical
-    charge stream the row executor's sequential scan produces, just
+    charge stream a tuple-at-a-time sequential scan produces, just
     grouped batch-at-a-time.
     """
     buffer: list[tuple] = []

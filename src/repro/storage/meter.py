@@ -60,25 +60,44 @@ class CostMeter:
         return self.io_charged + self.cpu_charged + self.function_charged
 
     def charge_io(self, kind: IOKind, pages: int = 1) -> None:
-        """Charge ``pages`` page reads of the given kind."""
+        """Charge ``pages`` page reads of the given kind.
+
+        A multi-page charge that would cross the budget stops at the page
+        that crosses it (see :meth:`affordable`) before raising."""
         if pages < 0:
             raise ValueError(f"pages must be non-negative, got {pages}")
-        if kind is IOKind.RANDOM:
-            self.random_ios += pages
-        else:
-            self.seq_ios += pages
-        self._check_budget()
+        unit = 1.0 if kind is IOKind.RANDOM else self.seq_weight
+        while True:
+            step = self.affordable(unit, pages)
+            if kind is IOKind.RANDOM:
+                self.random_ios += step
+            else:
+                self.seq_ios += step
+            self._check_budget()
+            pages -= step
+            if not pages:
+                return
 
     def charge_function(self, cost_per_call: float, calls: int = 1) -> None:
-        """Charge ``calls`` invocations of a function of the given cost."""
+        """Charge ``calls`` invocations of a function of the given cost.
+
+        Like :meth:`charge_io`, a bulk charge stops at the call that
+        crosses the budget; callers that evaluate in bulk ask
+        :meth:`affordable` first, so they never run a call they would
+        not pay for."""
         if calls < 0:
             raise ValueError(f"calls must be non-negative, got {calls}")
         if not math.isfinite(cost_per_call) or cost_per_call < 0:
             cost_per_call = 0.0
             self.clamped_charges += calls
-        self.function_calls += calls
-        self.function_charged += cost_per_call * calls
-        self._check_budget()
+        while True:
+            step = self.affordable(cost_per_call, calls)
+            self.function_calls += step
+            self.function_charged += cost_per_call * step
+            self._check_budget()
+            calls -= step
+            if not calls:
+                return
 
     def charge_cpu(self, units: float) -> None:
         """Charge per-tuple join processing cost."""
@@ -86,6 +105,32 @@ class CostMeter:
             raise ValueError(f"units must be non-negative, got {units}")
         self.cpu_charged += units
         self._check_budget()
+
+    def charge_tuples(self, cpu_per_tuple: float, tuples: int) -> None:
+        """Charge per-tuple CPU for ``tuples`` tuples in bulk, stopping at
+        the tuple that crosses the budget."""
+        while True:
+            step = self.affordable(cpu_per_tuple, tuples)
+            self.charge_cpu(cpu_per_tuple * step)
+            tuples -= step
+            if tuples <= 0:
+                return
+
+    def affordable(self, unit: float, count: int) -> int:
+        """How many of ``count`` equal charges of ``unit`` a bulk charge
+        should make: all of them when they fit under the budget, else
+        every one up to and including the charge that crosses it.
+
+        This is the budget frontier: a batch of work stops within one
+        charge quantum of the budget, the same place a tuple-at-a-time
+        run stops, instead of overshooting by a whole batch.
+        """
+        if self.budget is None or count <= 1 or not unit > 0:
+            return count
+        room = self.budget - self.charged
+        if unit * count <= room:
+            return count
+        return max(1, min(count, int(room // unit) + 1))
 
     def _check_budget(self) -> None:
         if self.budget is not None and self.charged > self.budget:

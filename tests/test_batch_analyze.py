@@ -1,17 +1,19 @@
-"""Batch-granular EXPLAIN ANALYZE and the row/vector actuals parity
+"""Batch-granular EXPLAIN ANALYZE and the per-node actuals parity
 contract.
 
-The vector engine's batch instrumentation must *add* information
-(batches, per-batch row histograms, selection-vector density, kernel
-self-time, cache hit rates) without perturbing the row-path actuals:
-per-operator row counts, I/O cost, function cost, and cache hits are
-bit-identical between ``executor="row"`` and ``executor="vector"``
-across every workload × strategy × seed. Join CPU is the one documented
-exception — the vector engine charges it in bulk per batch
-(``units × n``) where the row engine adds per tuple, so per-node
-``cpu_charged`` (and through it ``charged``) can differ in the last
-float bit; the suite pins that difference to ≤ a few ULPs instead of
-letting it drift.
+The engine's batch instrumentation must *add* information (batches,
+per-batch row histograms, selection-vector density, kernel self-time,
+cache hit rates) without perturbing the per-node actuals: per-operator
+row counts, I/O cost, function cost, and cache hits do not depend on
+how the meter deltas were bracketed. One-row batches bracket every
+charge the way a tuple-at-a-time pipeline does, so they must report
+bit-identical actuals to the default batch size across every workload
+× strategy × seed, and the root's inclusive actuals must add up to what
+the reference tree (``reference_executor.py``) charges for the whole
+run. Join CPU is the one documented exception — it is charged in bulk
+per batch (``units × n``), so per-node ``cpu_charged`` (and through it
+``charged``) can differ in the last float bit; the suite pins that
+difference to ≤ a few ULPs instead of letting it drift.
 """
 
 import math
@@ -23,6 +25,8 @@ from repro import Executor, build_database, optimize
 from repro.bench.harness import DEFAULT_STRATEGIES
 from repro.bench.workloads import build_workload, ensure_workload_functions
 from repro.plan.display import explain_analyze
+from repro.storage.columnar import DEFAULT_BATCH_ROWS
+from tests.reference_executor import run_reference
 
 QUERY_WORKLOADS = ("q1", "q2", "q3", "q4", "q5")
 SEEDS = (7, 11, 13)
@@ -46,8 +50,8 @@ def _databases():
 _DATABASES = _databases()
 
 
-def _instrumented(db, plan, budget, executor):
-    return Executor(db, budget=budget, executor=executor).execute(
+def _instrumented(db, plan, budget, batch_rows=DEFAULT_BATCH_ROWS):
+    return Executor(db, budget=budget, batch_rows=batch_rows).execute(
         plan, instrument=True
     )
 
@@ -57,7 +61,7 @@ def _close(a: float, b: float) -> bool:
 
 
 class TestExplainAnalyzeParity:
-    """Per-operator actuals, row engine vs vector engine."""
+    """Per-operator actuals, one-row batches vs the default batch size."""
 
     @pytest.mark.parametrize("workload_key", QUERY_WORKLOADS)
     @pytest.mark.parametrize("strategy", DEFAULT_STRATEGIES)
@@ -66,12 +70,21 @@ class TestExplainAnalyzeParity:
             db = _DATABASES[seed]
             workload = build_workload(db, workload_key)
             plan = optimize(db, workload.query, strategy=strategy).plan
-            row = _instrumented(db, plan, workload.budget, "row")
-            vector = _instrumented(db, plan, workload.budget, "vector")
+            row = _instrumented(db, plan, workload.budget, batch_rows=1)
+            vector = _instrumented(db, plan, workload.budget)
             label = f"{workload_key}/{strategy}/seed={seed}"
             assert vector.completed == row.completed, label
             if not row.completed:
                 continue
+            # The root's inclusive actuals are the whole run's meter.
+            reference = run_reference(db, plan, budget=workload.budget)
+            root = vector.node_stats[id(plan.root)]
+            assert root.rows_out == len(reference.rows), label
+            assert root.io_charged == reference.metrics["io_charged"]
+            assert root.function_charged == (
+                reference.metrics["function_charged"]
+            ), label
+            assert _close(root.charged, reference.charged), label
             assert set(vector.node_stats) == set(row.node_stats), label
             for key, expected in row.node_stats.items():
                 actual = vector.node_stats[key]
@@ -93,14 +106,15 @@ class TestExplainAnalyzeParity:
 
     @pytest.mark.parametrize("workload_key", QUERY_WORKLOADS)
     def test_whole_query_totals_bit_identical(self, workload_key):
-        """The dump-visible roll-ups never differ at all: the per-batch
-        bulk charges land on the same meter in the same order."""
+        """The dump-visible roll-ups never differ from the reference
+        tree's at all: the per-batch bulk charges add up to the same
+        meter totals."""
         for seed in SEEDS:
             db = _DATABASES[seed]
             workload = build_workload(db, workload_key)
             plan = optimize(db, workload.query, strategy="pushdown").plan
-            row = _instrumented(db, plan, workload.budget, "row")
-            vector = _instrumented(db, plan, workload.budget, "vector")
+            row = run_reference(db, plan, budget=workload.budget)
+            vector = _instrumented(db, plan, workload.budget)
             if not row.completed:
                 continue
             label = f"{workload_key}/seed={seed}"
@@ -117,8 +131,8 @@ class TestExplainAnalyzeParity:
         db = _DATABASES[7]
         workload = build_workload(db, "q4")
         plan = optimize(db, workload.query, strategy="migration").plan
-        for executor in ("row", "vector"):
-            result = _instrumented(db, plan, workload.budget, executor)
+        for batch_rows in (1, DEFAULT_BATCH_ROWS):
+            result = _instrumented(db, plan, workload.budget, batch_rows)
             for stats in result.node_stats.values():
                 assert stats.charged == (
                     stats.io_charged
@@ -128,22 +142,13 @@ class TestExplainAnalyzeParity:
 
 
 class TestBatchStats:
-    """The vector-only batch-granular companion data."""
-
-    def test_row_path_never_carries_batch_stats(self):
-        db = _DATABASES[7]
-        workload = build_workload(db, "q4")
-        plan = optimize(db, workload.query, strategy="pushdown").plan
-        result = _instrumented(db, plan, workload.budget, "row")
-        assert result.batch_stats is None
+    """The batch-granular companion data."""
 
     def test_uninstrumented_vector_run_skips_batch_stats(self):
         db = _DATABASES[7]
         workload = build_workload(db, "q4")
         plan = optimize(db, workload.query, strategy="pushdown").plan
-        result = Executor(
-            db, budget=workload.budget, executor="vector"
-        ).execute(plan)
+        result = Executor(db, budget=workload.budget).execute(plan)
         assert result.batch_stats is None
         assert result.node_stats is None
 
@@ -151,7 +156,7 @@ class TestBatchStats:
         db = _DATABASES[7]
         workload = build_workload(db, "q4")
         plan = optimize(db, workload.query, strategy="pushdown").plan
-        result = _instrumented(db, plan, workload.budget, "vector")
+        result = _instrumented(db, plan, workload.budget)
         assert result.batch_stats
         for key, stats in result.batch_stats.items():
             node_stats = result.node_stats[key]
@@ -167,7 +172,7 @@ class TestBatchStats:
         db = _DATABASES[7]
         workload = build_workload(db, "q4")
         plan = optimize(db, workload.query, strategy="pushdown").plan
-        result = _instrumented(db, plan, workload.budget, "vector")
+        result = _instrumented(db, plan, workload.budget)
         observed = [
             stats for stats in result.batch_stats.values()
             if stats.predicates
@@ -198,7 +203,7 @@ class TestBatchStats:
         cheap = donors[0].filters.pop()
         assert root.filters, "pullup q4 must hoist the expensive one"
         root.filters.append(cheap)
-        result = _instrumented(db, plan, workload.budget, "vector")
+        result = _instrumented(db, plan, workload.budget)
         stats = result.batch_stats[id(root)]
         assert len(stats.predicates) == 2
         first, second = stats.predicates
@@ -214,7 +219,7 @@ class TestBatchStats:
             db, workload.query, strategy="migration", caching=True
         ).plan
         result = Executor(
-            db, budget=workload.budget, executor="vector", caching=True
+            db, budget=workload.budget, caching=True
         ).execute(plan, instrument=True)
         observed = [
             pstats
@@ -232,7 +237,7 @@ class TestBatchStats:
         db = _DATABASES[7]
         workload = build_workload(db, "q1")
         plan = optimize(db, workload.query, strategy="pushdown").plan
-        result = _instrumented(db, plan, workload.budget, "vector")
+        result = _instrumented(db, plan, workload.budget)
         for stats in result.batch_stats.values():
             json.dumps(stats.as_dict(), allow_nan=False)
 
@@ -242,8 +247,8 @@ class TestExplainAnalyzeRendering:
         db = _DATABASES[7]
         workload = build_workload(db, workload_key)
         plan = optimize(db, workload.query, strategy=strategy).plan
-        row = _instrumented(db, plan, workload.budget, "row")
-        vector = _instrumented(db, plan, workload.budget, "vector")
+        row = _instrumented(db, plan, workload.budget, batch_rows=1)
+        vector = _instrumented(db, plan, workload.budget)
         row_text = explain_analyze(plan, row.node_stats)
         vector_text = explain_analyze(
             plan, vector.node_stats, batch_stats=vector.batch_stats
@@ -260,8 +265,9 @@ class TestExplainAnalyzeRendering:
         assert re.search(r"sel=\d\.\d{3}", vector_text)
 
     def test_row_actuals_render_identically(self):
-        """The row-path figures — the parity-gated part of the output —
-        are the same characters in both engines' reports."""
+        """The per-node figures — the parity-gated part of the output —
+        are the same characters whether or not the batch layer is
+        rendered, and whatever the batch size."""
         row_text, vector_text = self._outputs()
         pattern = re.compile(r"act rows=\d+ charged=[\d.]+")
         assert pattern.findall(row_text) == pattern.findall(vector_text)
@@ -273,7 +279,7 @@ class TestExplainAnalyzeRendering:
             db, workload.query, strategy="migration", caching=True
         ).plan
         result = Executor(
-            db, budget=workload.budget, executor="vector", caching=True
+            db, budget=workload.budget, caching=True
         ).execute(plan, instrument=True)
         text = explain_analyze(
             plan, result.node_stats, batch_stats=result.batch_stats
@@ -292,8 +298,7 @@ class TestMonitorDensityRefinement:
         plan = optimize(db, workload.query, strategy="pushdown").plan
         monitor = RuntimeMonitor()
         result = Executor(
-            db, budget=workload.budget, executor="vector",
-            monitor=monitor,
+            db, budget=workload.budget, monitor=monitor,
         ).execute(plan)
         assert result.completed
         assert monitor.state == "completed"

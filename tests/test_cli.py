@@ -432,7 +432,7 @@ class TestFlightRecord:
     def test_dead_run_writes_renderable_dump(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "--workload", "q1", "--scale", "10",
-            "--executor", "vector", "--budget", "50",
+            "--budget", "50",
             "--flight-record", str(tmp_path),
         )
         assert code == 2
@@ -498,7 +498,7 @@ class TestPostmortem:
     def test_last_flag_caps_timeline(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "--workload", "q1", "--scale", "10",
-            "--executor", "vector", "--budget", "50",
+            "--budget", "50",
             "--flight-record", str(tmp_path),
         )
         assert code == 2

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
 from repro.exec import Executor
-from repro.exec.operators import RuntimeContext, build_operator
 from repro.plan.nodes import Join, JoinMethod, Plan, Scan
 from tests.conftest import costly_filter, equijoin
 

@@ -41,21 +41,20 @@ def db():
     return database
 
 
-def _dead_run(db, workload_key="q1", executor="vector", monitor=None):
+def _dead_run(db, workload_key="q1", monitor=None):
     """One budget-DNF execution with a recorder attached.
 
-    The budget is 90% of the full run's charge and vector batches are
-    kept small, so the engine records a healthy stretch of batch/row
-    events before the meter trips — a dump with an identifiable dying
+    The budget is 90% of the full run's charge and batches are kept
+    small, so the engine records a healthy stretch of batch events
+    before the meter trips — a dump with an identifiable dying
     operator, not just the abort."""
     workload = build_workload(db, workload_key)
     plan = optimize(db, workload.query, strategy="pushdown").plan
-    kwargs = {"batch_rows": 8} if executor == "vector" else {}
-    full = Executor(db, executor=executor, **kwargs).execute(plan)
+    full = Executor(db, batch_rows=8).execute(plan)
     recorder = FlightRecorder()
     result = Executor(
-        db, budget=full.charged * 0.9, executor=executor, monitor=monitor,
-        flight=recorder, **kwargs,
+        db, budget=full.charged * 0.9, monitor=monitor,
+        flight=recorder, batch_rows=8,
     ).execute(plan)
     assert not result.completed
     return recorder, result
@@ -123,32 +122,28 @@ class TestFlightRecorder:
 
 
 class TestExecutorIntegration:
-    @pytest.mark.parametrize("executor", ["row", "vector"])
-    def test_budget_abort_trips_recorder(self, db, executor):
-        recorder, result = _dead_run(db, executor=executor)
+    def test_budget_abort_trips_recorder(self, db):
+        recorder, result = _dead_run(db)
         assert recorder.tripped == result.error
         assert recorder.tripped.startswith("budget:")
         assert recorder.recorded > 0
         kinds = {e["kind"] for e in recorder.events()}
         assert "query.abort" in kinds
-        # Batch events on the vector path, row milestones on the row
-        # path — either way the dying operator is identifiable.
-        assert ("batch" in kinds) or ("rows" in kinds)
+        # Batch events identify the dying operator.
+        assert "batch" in kinds
         assert recorder.last_operator() != ""
 
     def test_detached_run_is_recorder_free(self, db):
         workload = build_workload(db, "q1")
         plan = optimize(db, workload.query, strategy="pushdown").plan
-        result = Executor(db, executor="vector").execute(plan)
+        result = Executor(db).execute(plan)
         assert result.completed  # nothing to record, nothing recorded
 
     def test_healthy_run_never_trips(self, db):
         workload = build_workload(db, "q1")
         plan = optimize(db, workload.query, strategy="pushdown").plan
         recorder = FlightRecorder()
-        result = Executor(
-            db, executor="vector", flight=recorder
-        ).execute(plan)
+        result = Executor(db, flight=recorder).execute(plan)
         assert result.completed
         assert recorder.tripped == ""
         assert recorder.recorded > 0  # batches were still logged
@@ -165,7 +160,6 @@ class TestFlightDump:
             recorder,
             workload="q1",
             reason=result.error,
-            executor="vector",
             strategy="pushdown",
             seed=42,
             result=result,
@@ -191,7 +185,6 @@ class TestFlightDump:
         recorder, result = _dead_run(db)
         document = build_flight_dump(
             recorder, workload="q1", reason=result.error,
-            executor="vector",
         )
         target = write_flight_dump(flight_path(tmp_path, "q1"), document)
         assert target.name == "FLIGHT_q1.json"
@@ -249,7 +242,7 @@ class TestPostmortem:
         recorder, result = _dead_run(db, monitor=monitor)
         document = build_flight_dump(
             recorder, workload="q1", reason=result.error,
-            executor="vector", strategy="pushdown", seed=42,
+            strategy="pushdown", seed=42,
             result=result, monitor=monitor,
         )
         report = format_postmortem(document)
@@ -276,7 +269,6 @@ class TestPostmortem:
         recorder, result = _dead_run(db)
         document = build_flight_dump(
             recorder, workload="q1", reason=result.error,
-            executor="vector",
         )
         assert format_postmortem(document) == format_postmortem(document)
 
@@ -339,8 +331,8 @@ class TestChaosFlightDumps:
 
 # -- determinism across interpreters -----------------------------------------
 
-#: Kills one q1 run per executor under a tight budget, dumps the flight
-#: recording, and prints the exact file bytes — any hash-order or id
+#: Kills one q1 run per batch size under a tight budget, dumps the
+#: flight recording, and prints the exact file bytes — any hash-order or id
 #: dependence in the dump shows up as a byte diff across hash seeds.
 SCRIPT = """
 import sys
@@ -353,24 +345,24 @@ from repro.obs.runtime_telemetry import RuntimeMonitor
 
 db = build_database(scale=10, seed=42)
 ensure_workload_functions(db)
-for executor in ("row", "vector"):
+for batch_rows in (1, 8):
     workload = build_workload(db, "q1")
     plan = optimize(db, workload.query, strategy="pushdown").plan
-    kwargs = {"batch_rows": 8} if executor == "vector" else {}
-    full = Executor(db, executor=executor, **kwargs).execute(plan)
+    full = Executor(db, batch_rows=batch_rows).execute(plan)
     recorder = FlightRecorder()
     monitor = RuntimeMonitor()
     result = Executor(
-        db, budget=full.charged * 0.9, executor=executor, monitor=monitor,
-        flight=recorder, **kwargs,
+        db, budget=full.charged * 0.9, monitor=monitor,
+        flight=recorder, batch_rows=batch_rows,
     ).execute(plan)
     assert not result.completed
     document = build_flight_dump(
-        recorder, workload="q1", reason=result.error, executor=executor,
+        recorder, workload="q1", reason=result.error,
         strategy="pushdown", seed=42, result=result, monitor=monitor,
     )
     target = write_flight_dump(
-        flight_path(sys.argv[1], "q1", suffix=executor), document
+        flight_path(sys.argv[1], "q1", suffix=f"batch{batch_rows}"),
+        document,
     )
     sys.stdout.write(open(target).read())
 """

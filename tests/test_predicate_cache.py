@@ -201,16 +201,16 @@ class TestGlobalCapacity:
         assert bounded.cache_entries <= 1
 
     def test_executor_capacity_vector_matches_row(self, tiny_db):
+        from tests.reference_executor import run_reference
+
         predicate = costly_filter(tiny_db, "costly100", ("t3", "u20"))
         plan = Plan(Scan(filters=[predicate], table="t3"))
-        row = Executor(
-            tiny_db, caching=True, cache_capacity=2
-        ).execute(plan)
+        row = run_reference(tiny_db, plan, caching=True, cache_capacity=2)
         vector = Executor(
-            tiny_db, caching=True, cache_capacity=2, executor="vector"
+            tiny_db, caching=True, cache_capacity=2
         ).execute(plan)
         assert sorted(vector.rows) == sorted(row.rows)
         # Same sequential binding stream, same bounded cache: the
-        # hit/miss/eviction history is identical too.
-        assert vector.cache_stats.hits == row.cache_stats.hits
-        assert vector.cache_stats.evictions == row.cache_stats.evictions
+        # hit/miss/eviction history matches the reference tree's too.
+        assert vector.cache_stats.hits == row.cache.stats.hits
+        assert vector.cache_stats.evictions == row.cache.stats.evictions
