@@ -75,6 +75,7 @@ from repro.obs import (
     why_report,
     write_flight_dump,
 )
+from repro.obs.artifacts import is_bench_adapt_artifact
 from repro.optimizer import STRATEGIES
 from repro.plan import explain_analyze
 
@@ -479,8 +480,11 @@ def _run(args, tracer, out, profiler=NULL_PROFILER, flight=None) -> int:
     )
     executor = Executor(
         db, caching=args.caching, budget=budget, tracer=tracer,
-        profiler=profiler, monitor=monitor,
-        cache_capacity=args.cache_capacity, flight=flight,
+        profiler=profiler,
+        listeners=[
+            listener for listener in (flight, monitor) if listener is not None
+        ],
+        cache_capacity=args.cache_capacity,
         adaptive=adaptive_policy, ledger=adaptive_ledger,
     )
     result = executor.execute(
@@ -702,6 +706,15 @@ def bench_diff(argv: list[str], out=None) -> int:
         for workload in sorted(set(base_set) | set(cand_set)):
             base_path = base_set.get(workload)
             cand_path = cand_set.get(workload)
+            if is_bench_adapt_artifact(base_path or cand_path):
+                findings.append(
+                    Finding(
+                        "note", workload, "*", "skipped",
+                        "bench-adapt artifact (keyed by scenarios); "
+                        "'repro bench-adapt' gates it, not bench-diff",
+                    )
+                )
+                continue
             if base_path is None:
                 findings.append(
                     Finding(
@@ -1347,7 +1360,7 @@ def top(argv: list[str], out=None) -> int:
     )
     try:
         executor = Executor(
-            db, caching=args.caching, budget=budget, monitor=monitor,
+            db, caching=args.caching, budget=budget, listeners=(monitor,),
         )
         result = executor.execute(
             optimized.plan, project=workload.query.select
@@ -1590,7 +1603,7 @@ def stats(argv: list[str], out=None) -> int:
         )
         collector = FeedbackCollector()
         executor = Executor(
-            db, caching=args.caching, collector=collector
+            db, caching=args.caching, listeners=(collector,)
         )
         result = executor.execute(optimized.plan, instrument=True)
         observations = collector.observations()

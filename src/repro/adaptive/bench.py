@@ -73,7 +73,7 @@ def _run_one(db, plan, *, adaptive, policy, flight=None):
         db,
         adaptive=policy if adaptive else None,
         ledger=ledger,
-        flight=flight,
+        listeners=(flight,) if flight is not None else (),
     )
     result = executor.execute(plan)
     return result, ledger

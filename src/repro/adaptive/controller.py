@@ -47,8 +47,9 @@ Everything is wrapped in guardrails — a re-plan budget, placement
 hysteresis (an A→B→A oscillation is refused), an estimated-improvement
 check, and a migration→pushdown fallback ladder when suffix planning
 itself fails — and every trigger, application, and refusal is recorded
-as a ``plan.replan`` provenance-ledger event and a flight-recorder
-entry, so ``repro why`` and ``repro postmortem`` can replay the story.
+as a ``plan.replan`` provenance-ledger event and a ``replan`` note on
+the execution event stream (which a flight recorder keeps), so
+``repro why`` and ``repro postmortem`` can replay the story.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ from repro.cost.model import CostModel
 from repro.cost.params import CostParams
 from repro.errors import PlanError, ReproError
 from repro.expr.predicates import Predicate
-from repro.obs.feedback import FeedbackCollector
+from repro.obs.events import NO_EVENTS, ExecutionListener
+from repro.obs.feedback import FeedbackCollector, predicate_fingerprint
 from repro.obs.provenance import NULL_LEDGER
 from repro.obs.quality import DRIFT_QERROR_THRESHOLD, detect_drift
 from repro.optimizer.migration import migrate_node
@@ -69,7 +71,7 @@ from repro.plan.nodes import JoinMethod, PlanNode, Scan
 from repro.plan.streams import Spine, movable_predicates, spine_of
 
 #: Hard cap on retained trigger-log entries (the provenance ledger and
-#: flight recorder get every event regardless; this only bounds the
+#: the event stream get every event regardless; this only bounds the
 #: in-memory report). Boundaries are power-of-two leaf-row milestones,
 #: so real runs stay far below it.
 MAX_TRIGGER_EVENTS = 64
@@ -111,8 +113,8 @@ class AdaptiveReport:
     replans: int = 0
     refusals: int = 0
     converged: int = 0
-    #: Bounded trigger log (every entry also went to the ledger/flight
-    #: recorder); entries are the ``plan.replan`` event payloads.
+    #: Bounded trigger log (every entry also went to the ledger and the
+    #: event stream); entries are the ``plan.replan`` event payloads.
     events: list[dict] = field(default_factory=list)
 
     def note(self, event: dict) -> None:
@@ -191,17 +193,17 @@ def _slot_of(spine: Spine, predicate: Predicate, entries: dict[int, int]) -> int
     return entry
 
 
-class AdaptiveController:
+class AdaptiveController(ExecutionListener):
     """Drift monitor + suffix re-planner for one execution.
 
-    Doubles as the execution's feedback ``collector`` (tee-ing to any
-    user-supplied one) and as the runtime ``feed``: the spine leaf
-    reports the rows it hands up (:meth:`on_leaf_rows`), spine taps
-    count node output (:meth:`on_node_rows`, join fan-out observation),
-    and :meth:`on_boundary` fires at each safe leaf boundary. The
-    controller never charges the meter and never changes a row — a
-    zero-replan adaptive run is charge- and row-identical to a
-    non-adaptive one.
+    Listens on the execution event stream — predicate verdicts feed its
+    private feedback tallies, and batch events of the nodes in
+    :attr:`tap_ids` count node output (join fan-out observation) — and
+    doubles as the runtime ``feed``: the spine leaf reports the rows it
+    hands up (:meth:`on_leaf_rows`), and :meth:`on_boundary` fires at
+    each safe leaf boundary. The controller never charges the meter and
+    never changes a row — a zero-replan adaptive run is charge- and
+    row-identical to a non-adaptive one.
     """
 
     def __init__(
@@ -213,9 +215,7 @@ class AdaptiveController:
         meter,
         caching: bool = False,
         policy: AdaptivePolicy | None = None,
-        collector=None,
         ledger=NULL_LEDGER,
-        flight=None,
         stats_store=None,
         stats_meta: dict | None = None,
     ) -> None:
@@ -225,10 +225,9 @@ class AdaptiveController:
         self.meter = meter
         self.caching = caching
         self.policy = policy or AdaptivePolicy()
-        self.user_collector = collector
         self.ledger = ledger
-        self.flight = flight
-        self.cache = None  # installed by the executor once built
+        self.cache = None  # the run's predicate cache, from ``on_start``
+        self.events = NO_EVENTS  # the run's event stream, likewise
         self.stats_store = stats_store
         self.stats_meta = dict(stats_meta or {})
         self.report = AdaptiveReport()
@@ -291,46 +290,23 @@ class AdaptiveController:
         self.report.active = False
         self.report.disabled_reason = reason
 
-    # -- feedback-collector surface (tee) ---------------------------------
+    # -- event listener ----------------------------------------------------
 
-    def observe(self, predicate: Predicate, passed: bool, charged: float) -> None:
-        self._feedback.observe(predicate, passed, charged)
-        self._pred_objects.setdefault(predicate.pred_id, predicate)
-        if self.user_collector is not None:
-            self.user_collector.observe(predicate, passed, charged)
+    def on_start(self, root, ctx) -> None:
+        self.cache = ctx.cache
+        self.events = ctx.events
 
-    def observe_batch(
-        self,
-        predicate: Predicate,
-        evaluated: int,
-        passed: int,
-        charged_calls: int,
-        charged_cost: float,
+    def on_batch(self, key, rows, seconds, delta) -> None:
+        if rows is not None and key in self.tap_ids:
+            self._counts[key] = self._counts.get(key, 0) + rows
+
+    def on_verdicts(
+        self, predicate: Predicate, evaluated: int, passed: int, charges
     ) -> None:
-        """Bulk :meth:`observe`: one batch of verdicts, same tally
-        totals as observing them one by one."""
-        self._feedback.observe_batch(
-            predicate, evaluated, passed, charged_calls, charged_cost
-        )
+        self._feedback.on_verdicts(predicate, evaluated, passed, charges)
         self._pred_objects.setdefault(predicate.pred_id, predicate)
-        user = self.user_collector
-        if user is None:
-            return
-        bulk = getattr(user, "observe_batch", None)
-        if bulk is not None:
-            bulk(predicate, evaluated, passed, charged_calls, charged_cost)
-            return
-        for i in range(evaluated):
-            user.observe(
-                predicate,
-                i < passed,
-                charged_cost / charged_calls if i < charged_calls else 0.0,
-            )
 
     # -- runtime feed surface ----------------------------------------------
-
-    def on_node_rows(self, key: int, rows: int) -> None:
-        self._counts[key] = self._counts.get(key, 0) + rows
 
     def on_leaf_rows(self, rows: int) -> None:
         self._leaf_rows += rows
@@ -394,8 +370,7 @@ class AdaptiveController:
         self.report.note(event)
         if self.ledger.enabled:
             self.ledger.record("plan.replan", **event)
-        if self.flight is not None:
-            self.flight.record("replan", **event)
+        self.events.note("replan", **event)
 
     def _trigger(self, findings: list, observations: list) -> None:
         self.report.triggers += 1
@@ -477,8 +452,6 @@ class AdaptiveController:
             for observation in observations
         }
         corrected: dict[int, float] = {}
-        from repro.obs.feedback import predicate_fingerprint
-
         for predicate in self._pred_objects.values():
             observation = by_fingerprint.get(predicate_fingerprint(predicate))
             if observation is not None and observation.evaluated > 0:

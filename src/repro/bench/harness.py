@@ -203,7 +203,12 @@ def run_strategies(
             monitor = RuntimeMonitor() if telemetry else None
             runner = Executor(
                 db, caching=caching, budget=budget, tracer=tracer,
-                profiler=profiler, collector=collector, monitor=monitor,
+                profiler=profiler,
+                listeners=[
+                    listener
+                    for listener in (collector, monitor)
+                    if listener is not None
+                ],
                 adaptive=adaptive, ledger=ledger,
             )
             result = runner.execute(optimized.plan, instrument=instrument)

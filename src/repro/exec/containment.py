@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError, UdfError
 from repro.faults.clock import SimulatedClock
+from repro.obs.events import NO_EVENTS, EventStream
 from repro.obs.tracer import NULL_TRACER
 
 #: Valid ``on_exhausted`` policies.
@@ -130,16 +131,15 @@ class ContainmentState:
         policy: FailurePolicy,
         clock: SimulatedClock | None = None,
         tracer=None,
-        flight=None,
+        events: EventStream = NO_EVENTS,
     ) -> None:
         self.policy = policy
         self.clock = clock if clock is not None else SimulatedClock()
         self.tracer = NULL_TRACER if tracer is None else tracer
-        #: Optional execution flight recorder: retry and quarantine
-        #: events land in its ring buffer so a crash dump shows the
-        #: containment activity leading up to the abort. ``None`` (the
-        #: default) keeps the failure path recorder-free.
-        self.flight = flight
+        #: The run's event stream: retries and quarantines go out as
+        #: notes, so a flight recorder's crash dump shows the containment
+        #: activity leading up to the abort.
+        self.events = events
         self.report = QuarantineReport()
         self._overflow = 0
 
@@ -162,13 +162,12 @@ class ContainmentState:
                 attempt=attempt + 1,
                 backoff_units=units,
             )
-        if self.flight is not None:
-            self.flight.record(
-                "udf.retry",
-                function=error.function,
-                attempt=attempt + 1,
-                backoff_units=units,
-            )
+        self.events.note(
+            "udf.retry",
+            function=error.function,
+            attempt=attempt + 1,
+            backoff_units=units,
+        )
 
     def quarantine(
         self, predicate, row: tuple, error: UdfError, attempts: int
@@ -198,14 +197,13 @@ class ContainmentState:
                 action=action,
                 attempts=attempts,
             )
-        if self.flight is not None:
-            self.flight.record(
-                "udf.quarantine",
-                function=error.function,
-                predicate=str(predicate),
-                action=action,
-                attempts=attempts,
-            )
+        self.events.note(
+            "udf.quarantine",
+            function=error.function,
+            predicate=str(predicate),
+            action=action,
+            attempts=attempts,
+        )
         if action == "abort":
             raise error
         return action == "assume-pass"

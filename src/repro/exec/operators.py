@@ -3,8 +3,8 @@
 The batch engine (:mod:`repro.exec.vector`) is the only executor; this
 module holds what it shares with the per-row fallbacks it keeps:
 
-* :class:`RuntimeContext` — catalog, meter, cache and the optional
-  observation sinks every operator reads at run time;
+* :class:`RuntimeContext` — catalog, meter, cache and the execution
+  event stream every operator reads at run time;
 * :class:`OperatorStats` — one plan node's EXPLAIN ANALYZE actuals;
 * :func:`evaluate_predicate` — one predicate on one row, with charging,
   caching and UDF failure containment. The batch engine's containment
@@ -27,6 +27,8 @@ from repro.exec.cache import PredicateCache
 from repro.exec.containment import ContainmentState
 from repro.expr.expressions import Scope
 from repro.expr.predicates import BoolBranch, BoolLeaf, Predicate
+from repro.faults.clock import SimulatedClock
+from repro.obs.events import NO_EVENTS, EventStream
 from repro.storage.meter import CostMeter
 
 
@@ -85,55 +87,32 @@ class RuntimeContext:
     #: Predicates whose caching is bypassed because nearly every binding is
     #: distinct (the paper's Section 5.1 planned optimisation).
     bypass_ids: frozenset[int] = frozenset()
-    #: When not ``None``, the build wraps every plan node in an
-    #: instrumented operator and records its actuals here, keyed by
-    #: ``id(plan_node)`` (EXPLAIN ANALYZE mode).
-    node_stats: dict[int, OperatorStats] | None = None
+    #: The run's execution event stream (:mod:`repro.obs.events`): EXPLAIN
+    #: ANALYZE, feedback, telemetry, flight recording and the adaptive
+    #: controller all listen on it. With no listeners (the default) the
+    #: build adds no observing operator and every hot path stays free of
+    #: observation branches; predicate evaluation stays on its fast
+    #: paths while no listener acts on verdicts.
+    events: EventStream = NO_EVENTS
     #: When not ``None``, predicate evaluation runs under UDF failure
     #: containment: bounded retries with simulated-clock backoff, then the
     #: policy's on-exhaustion action, with quarantine bookkeeping.
     containment: ContainmentState | None = None
-    #: When not ``None``, every predicate evaluation reports its verdict
-    #: and the function cost it charged to this sink (duck-typed:
-    #: ``observe(predicate, passed, charged)`` — normally a
-    #: :class:`repro.obs.feedback.FeedbackCollector`). ``None`` keeps the
-    #: hot path free of any feedback branch, like the other optional
-    #: sinks above.
-    collector: object | None = None
-    #: When not ``None``, live telemetry: the build wraps every node in
-    #: a monitored operator reporting per-batch progress, and predicate
-    #: evaluation reports its verdicts (duck-typed: normally a
-    #: :class:`repro.obs.runtime_telemetry.RuntimeMonitor`). Same
-    #: zero-overhead-when-off contract as ``collector``.
-    monitor: object | None = None
-    #: When not ``None``, the executor additionally collects
-    #: batch-granular actuals (batches, per-batch row histograms,
-    #: selection-vector density per predicate, kernel self-time, cache
-    #: hit rates) here, keyed by ``id(plan_node)`` — the batch-level
-    #: companion of ``node_stats``. Values are
-    #: :class:`repro.exec.vector.BatchNodeStats`; ``None`` keeps the
-    #: batch hot loops free of any stats branch.
-    batch_stats: dict[int, object] | None = None
-    #: When not ``None``, an execution flight recorder (duck-typed:
-    #: normally a :class:`repro.obs.flightrec.FlightRecorder`) receiving
-    #: bounded batch/milestone events so a crash dump can show what the
-    #: engine was doing in its final moments. Same
-    #: zero-overhead-when-off contract as the other optional sinks.
-    flight: object | None = None
+    #: The run's simulated clock — where containment backoff and injected
+    #: UDF latency accrue — when it has one.
+    clock: SimulatedClock | None = None
     #: When not ``None``, the adaptive mid-query re-optimization feed
     #: (duck-typed: normally a
     #: :class:`repro.adaptive.controller.AdaptiveController`). The build
     #: cuts the spine leaf's raw batches at the feed's safe splice
     #: boundaries (``feed.on_boundary`` fires once every earlier leaf
     #: row has flowed through the whole pipeline, *before* the next
-    #: row enters any filter) and taps the nodes in ``feed.tap_ids``
-    #: with row counters (``feed.on_node_rows``). With a feed
-    #: installed, scans and joins always get a filter operator, even
-    #: when their filter list is currently empty — a re-plan may move
-    #: predicates onto them mid-query, and the filter re-reads the live
-    #: list per batch. ``None`` (always, unless ``--adaptive``) keeps
-    #: every hot path and the built operator shapes byte-identical to
-    #: the baselines.
+    #: row enters any filter). With a feed installed, scans and joins
+    #: always get a filter operator, even when their filter list is
+    #: currently empty — a re-plan may move predicates onto them
+    #: mid-query, and the filter re-reads the live list per batch.
+    #: ``None`` (always, unless ``--adaptive``) keeps every hot path and
+    #: the built operator shapes byte-identical to the baselines.
     feed: object | None = None
 
     def __post_init__(self) -> None:
@@ -193,28 +172,25 @@ def evaluate_predicate(
     Returns ``False`` for SQL NULL results (a WHERE conjunct only passes
     rows for which it is true).
     """
-    collector = ctx.collector
-    monitor = ctx.monitor
-    if collector is None and monitor is None:
+    events = ctx.events
+    if not events.verdict_listeners:
         return _evaluate_contained(predicate, row, scope, ctx)
     # The meter delta brackets the whole contained evaluation, so the
     # observed per-call cost is what this row *actually* charged: zero on
     # cache hits and on quarantined rows, partial under function-level
-    # caching. Both sinks share one bracket.
+    # caching.
     before = ctx.meter.function_charged
     value = _evaluate_contained(predicate, row, scope, ctx)
-    charged = ctx.meter.function_charged - before
-    if collector is not None:
-        collector.observe(predicate, value, charged)
-    if monitor is not None:
-        monitor.observe_predicate(predicate, value, charged)
+    events.verdicts(
+        predicate, 1, int(value), (ctx.meter.function_charged - before,)
+    )
     return value
 
 
 def _evaluate_contained(
     predicate: Predicate, row: tuple, scope: Scope, ctx: RuntimeContext
 ) -> bool:
-    """Evaluation under the containment retry loop (no feedback hook)."""
+    """Evaluation under the containment retry loop (no verdict event)."""
     containment = ctx.containment
     if containment is None:
         return _evaluate_once(predicate, row, scope, ctx)

@@ -1,10 +1,11 @@
 """The executor facade: run a plan, return rows plus charged-cost metrics.
 
 There is one execution engine, the batch-at-a-time columnar tree of
-:mod:`repro.exec.vector`; every run — instrumented, monitored,
-flight-recorded, contained or adaptive — goes through it. The
-tuple-at-a-time iterator tree it replaced survives only as the test
-suite's reference oracle, which pins the engine's rows and charges.
+:mod:`repro.exec.vector`; every run — observed, contained or adaptive —
+goes through it. Whatever watches a run listens on its execution event
+stream (:mod:`repro.obs.events`). The tuple-at-a-time iterator tree the
+engine replaced survives only as the test suite's reference oracle,
+which pins the engine's rows and charges.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.adaptive.controller import AdaptiveController, AdaptivePolicy
-from repro.cost.model import CostModel
 from repro.errors import BudgetExceededError, UdfError
 from repro.exec.cache import CacheStats, PredicateCache
 from repro.exec.containment import (
@@ -22,10 +22,11 @@ from repro.exec.containment import (
     QuarantineReport,
 )
 from repro.exec.operators import OperatorStats, RuntimeContext
-from repro.exec.vector import VectorPlanRunner
+from repro.exec.vector import AnalyzeListener, VectorPlanRunner
 from repro.storage.columnar import DEFAULT_BATCH_ROWS
 from repro.faults.clock import SimulatedClock
 from repro.expr.expressions import QualifiedColumn, Scope
+from repro.obs.events import EventStream
 from repro.obs.profile import NULL_PROFILER
 from repro.obs.provenance import NULL_LEDGER
 from repro.obs.tracer import NULL_TRACER
@@ -69,7 +70,7 @@ class QueryResult:
     quarantine: QuarantineReport | None = None
     #: Per-query resource roll-up
     #: (:class:`~repro.obs.runtime_telemetry.QueryResourceReport`).
-    #: ``None`` unless the executor ran with a live telemetry monitor.
+    #: ``None`` unless a live telemetry monitor listened to the run.
     resources: object | None = None
     #: What the mid-query re-optimization loop did
     #: (:class:`~repro.adaptive.controller.AdaptiveReport`). ``None``
@@ -117,11 +118,9 @@ class Executor:
         profiler=None,
         failure_policy: FailurePolicy | None = None,
         clock: SimulatedClock | None = None,
-        collector=None,
-        monitor=None,
+        listeners=(),
         batch_rows: int = DEFAULT_BATCH_ROWS,
         cache_capacity: int | None = None,
-        flight=None,
         adaptive: AdaptivePolicy | None = None,
         ledger=None,
         adaptive_stats_store=None,
@@ -131,46 +130,44 @@ class Executor:
         function-level ([Jhi88]) memoisation; ``cache_bypass`` enables the
         paper's Section 5.1 heuristic of not caching predicates whose
         distinct-bindings-to-tuples ratio exceeds the threshold (caching
-        such predicates costs memory and buys nothing). ``tracer`` records
-        execute-phase spans (default: the zero-overhead null tracer);
-        ``profiler`` accumulates build/run wall-clock plus, on
-        instrumented runs, per-operator actuals (``exec.op.<label>``).
+        such predicates costs memory and buys nothing).
+        ``cache_capacity`` bounds the predicate cache's *total* entry
+        count across all predicates (global LRU/FIFO per
+        ``cache_replacement``), composing with the per-predicate
+        ``cache_limit``. ``batch_rows`` sizes the engine's column batches
+        (rows and charges do not depend on it).
+
+        ``tracer`` records execute-phase spans (default: the
+        zero-overhead null tracer); ``profiler`` accumulates build/run
+        wall-clock plus, on instrumented runs, per-operator actuals
+        (``exec.op.<label>``).
+
+        ``listeners`` hear every run's execution event stream
+        (:mod:`repro.obs.events`), in order: any
+        :class:`~repro.obs.events.ExecutionListener`, such as a
+        :class:`~repro.obs.feedback.FeedbackCollector`, a
+        :class:`~repro.obs.flightrec.FlightRecorder` or a
+        :class:`~repro.obs.runtime_telemetry.RuntimeMonitor`. With none
+        (the default) the engine builds no observing operator and its
+        hot paths carry no observation branch.
+
         ``failure_policy`` enables UDF failure containment (bounded
         retries with simulated-clock backoff, then the policy's
         on-exhaustion action); ``clock`` is the
         :class:`~repro.faults.clock.SimulatedClock` backoff and injected
-        latency accrue on (a private one is created when omitted);
-        ``collector`` receives per-predicate evaluation feedback
-        (verdict plus charged function cost — normally a
-        :class:`~repro.obs.feedback.FeedbackCollector`; the default
-        ``None`` keeps predicate evaluation feedback-free); ``monitor``
-        receives live telemetry — per-operator progress, predicate
-        cost histograms, resource accounting (normally a
-        :class:`~repro.obs.runtime_telemetry.RuntimeMonitor`; the
-        default ``None`` keeps the hot path telemetry-free).
-        ``batch_rows`` sizes the engine's column batches (rows and
-        charges do not depend on it). ``cache_capacity`` bounds the
-        predicate cache's *total* entry count across all predicates
-        (global LRU/FIFO per ``cache_replacement``), composing with the
-        per-predicate ``cache_limit``. ``flight`` attaches an execution
-        flight recorder (normally a
-        :class:`~repro.obs.flightrec.FlightRecorder`): operators emit
-        bounded batch/milestone events into its ring buffer, and a
-        budget- or UDF-aborted run marks the recorder tripped so the
-        caller can serialize a crash dump; the default ``None`` keeps
-        every hot path recorder-free. ``adaptive`` enables mid-query
-        re-optimization under the given
+        latency accrue on (a private one is created when omitted).
+
+        ``adaptive`` enables mid-query re-optimization under the given
         :class:`~repro.adaptive.controller.AdaptivePolicy`: the plan's
         predicate placement may be re-planned and spliced in place at
         safe leaf boundaries (power-of-two leaf-row milestones) when
         observed selectivities drift from the declarations; ``ledger``
         (a :class:`~repro.obs.ProvenanceLedger`) receives the mandatory
-        ``plan.replan``/``stats.drift`` events;
-        ``adaptive_stats_store`` plus ``adaptive_stats_meta`` (a
+        ``plan.replan``/``stats.drift`` events; ``adaptive_stats_store``
+        plus ``adaptive_stats_meta`` (a
         :class:`~repro.obs.feedback.StatsFeedbackStore` and
         ``strategy``/``scale``/``seed`` metadata) make each applied
-        re-plan snapshot its observations as a mid-query stats
-        epoch."""
+        re-plan snapshot its observations as a mid-query stats epoch."""
         self.db = db
         self.batch_rows = batch_rows
         self.cache_capacity = cache_capacity
@@ -185,9 +182,7 @@ class Executor:
         self.profiler = NULL_PROFILER if profiler is None else profiler
         self.failure_policy = failure_policy
         self.clock = clock
-        self.collector = collector
-        self.monitor = monitor
-        self.flight = flight
+        self.listeners = tuple(listeners)
         self.adaptive = adaptive
         self.ledger = ledger
         self.adaptive_stats_store = adaptive_stats_store
@@ -232,9 +227,12 @@ class Executor:
 
         When the cost budget is exceeded, returns a ``completed=False``
         result (or re-raises if ``raise_on_budget``). ``instrument=True``
-        wraps every operator to collect per-node actuals (rows, charged
-        cost, cache hits) in :attr:`QueryResult.node_stats` — the EXPLAIN
-        ANALYZE data source.
+        attaches an EXPLAIN ANALYZE listener that collects per-node
+        actuals (rows, charged cost, cache hits) into
+        :attr:`QueryResult.node_stats` and :attr:`QueryResult.batch_stats`.
+        The event stream's listeners hear, in order: the adaptive
+        controller (when armed), the EXPLAIN ANALYZE listener, then the
+        executor's own ``listeners``.
         """
         node = plan.root if isinstance(plan, Plan) else plan
         db = self.db
@@ -256,35 +254,8 @@ class Executor:
             if self.caching
             else None
         )
-        node_stats: dict[int, OperatorStats] | None = (
-            {} if instrument else None
-        )
-        batch_stats: dict[int, object] | None = {} if instrument else None
-        containment = (
-            ContainmentState(
-                self.failure_policy,
-                clock=self.clock,
-                tracer=tracer,
-                flight=self.flight,
-            )
-            if self.failure_policy is not None
-            else None
-        )
-        monitor = self.monitor
-        if monitor is not None:
-            # Register every node's estimated work budget before any
-            # operator is built (monitored operators activate at
-            # construction). The monitor's model mirrors this executor's
-            # charging configuration.
-            monitor.attach(
-                node,
-                CostModel(db.catalog, db.params, caching=self.caching),
-            )
         controller: AdaptiveController | None = None
         if self.adaptive is not None:
-            # The controller doubles as the feedback collector (tee-ing
-            # to any user-supplied one) so drift detection rides the
-            # engine's existing per-predicate observation bracket.
             controller = AdaptiveController(
                 node,
                 catalog=db.catalog,
@@ -292,14 +263,35 @@ class Executor:
                 meter=db.meter,
                 caching=self.caching,
                 policy=self.adaptive,
-                collector=self.collector,
                 ledger=self.ledger if self.ledger is not None else NULL_LEDGER,
-                flight=self.flight,
                 stats_store=self.adaptive_stats_store,
                 stats_meta=self.adaptive_stats_meta,
             )
-            controller.cache = cache
-        feed_on = controller is not None and controller.active
+        # A controller the plan shape disarmed up front neither listens
+        # nor feeds: the run is then identical to a non-adaptive one.
+        feed = (
+            controller
+            if controller is not None and controller.active
+            else None
+        )
+        analyze = AnalyzeListener() if instrument else None
+        events = EventStream(
+            [listener for listener in (feed, analyze) if listener is not None]
+            + list(self.listeners)
+        )
+        containment = (
+            ContainmentState(
+                self.failure_policy,
+                clock=self.clock,
+                tracer=tracer,
+                events=events,
+            )
+            if self.failure_policy is not None
+            else None
+        )
+        clock = self.clock
+        if clock is None and containment is not None:
+            clock = containment.clock
         ctx = RuntimeContext(
             catalog=db.catalog,
             meter=db.meter,
@@ -308,18 +300,19 @@ class Executor:
             cache=cache,
             cache_mode=self.cache_mode,
             bypass_ids=self._bypass_ids(node),
-            node_stats=node_stats,
+            events=events,
             containment=containment,
-            collector=controller if feed_on else self.collector,
-            monitor=monitor,
-            batch_stats=batch_stats,
-            flight=self.flight,
-            feed=controller if feed_on else None,
+            clock=clock,
+            feed=feed,
         )
+        # Listeners register the plan before any operator is built
+        # (operators open at construction).
+        events.start(node, ctx)
         started = time.perf_counter()
         rows: list[tuple] = []
         completed = True
         error = ""
+        escaped: BudgetExceededError | None = None
         scope: Scope | None = None
         with tracer.span(
             "execute", caching=self.caching, instrumented=instrument
@@ -337,23 +330,15 @@ class Executor:
                     f"budget: charged {exc.charged:.1f} > "
                     f"budget {exc.budget:.1f}"
                 )
-                if monitor is not None:
-                    monitor.freeze(error)
-                if self.flight is not None:
-                    self.flight.note_abort(error)
-                if raise_on_budget:
-                    raise
                 completed = False
+                if raise_on_budget:
+                    escaped = exc
             except UdfError as exc:
                 # Only the ``abort`` exhaustion policy lets a UdfError
                 # escape the operators; surface it as a structured DNF
                 # rather than a traceback.
                 completed = False
                 error = f"udf: {exc}"
-                if monitor is not None:
-                    monitor.freeze(error)
-                if self.flight is not None:
-                    self.flight.note_abort(error)
             finally:
                 # Restore whatever budget the shared Database carried
                 # before this execution, not unconditionally None.
@@ -365,6 +350,8 @@ class Executor:
                 error=error,
             )
         elapsed = time.perf_counter() - started
+        node_stats = analyze.node_stats if analyze is not None else None
+        batch_stats = analyze.batch_stats if analyze is not None else None
 
         if profiler.enabled and node_stats is not None:
             # Fold the instrumented per-node actuals into the profiler so
@@ -422,11 +409,7 @@ class Executor:
                 controller.report if controller is not None else None
             ),
         )
-        if monitor is not None:
-            if completed:
-                monitor.complete()
-            clock = self.clock
-            if clock is None and containment is not None:
-                clock = containment.clock
-            result.resources = monitor.resource_report(result, clock=clock)
+        events.end(result)
+        if escaped is not None:
+            raise escaped
         return result

@@ -32,10 +32,12 @@ Failure containment (`ctx.containment`) switches predicate evaluation to
 the per-tuple contained loop of
 :func:`~repro.exec.operators.evaluate_predicate`, so retry/quarantine
 semantics — and the chaos suite's subset/superset audits — are
-preserved under batching. FeedbackCollector / RuntimeMonitor sinks are
-observed per batch via their ``observe_batch`` /
-``observe_predicate_batch`` / ``on_rows`` bulk hooks (with per-call
-fallbacks), and cost nothing when detached.
+preserved under batching. Observation goes through the context's
+execution event stream (:mod:`repro.obs.events`): with listeners, one
+:class:`ObservedBatchOperator` per plan node reports its pulls; filters
+report per-batch chain densities, and predicate evaluation verdicts
+with exact per-call charges, only while some listener acts on those
+events. With no listeners no observing code runs at all.
 
 Adaptive re-optimization (``ctx.feed``) splices a re-planned predicate
 placement in at *leaf boundaries*: the spine leaf's batches are cut at
@@ -55,7 +57,12 @@ import time
 from itertools import compress
 from typing import Callable, Iterator
 
-from repro.errors import ExecutionError, PlanError
+from repro.errors import (
+    BudgetExceededError,
+    ExecutionError,
+    PlanError,
+    UdfError,
+)
 from repro.exec.operators import (
     OperatorStats,
     RuntimeContext,
@@ -76,9 +83,9 @@ from repro.expr.expressions import (
     Scope,
 )
 from repro.expr.predicates import BoolBranch, BoolLeaf, Predicate
+from repro.obs.events import ExecutionListener
 from repro.obs.histograms import StreamingHistogram
 from repro.obs.quality import fmt_stat
-from repro.plan.display import _node_label
 from repro.plan.nodes import Join, JoinMethod, PlanNode, Scan
 from repro.storage.columnar import (
     DEFAULT_BATCH_ROWS,
@@ -309,13 +316,67 @@ class BatchNodeStats:
         }
 
 
-def _batch_node_stats(ctx: RuntimeContext, node: PlanNode) -> BatchNodeStats:
-    """Get-or-create the batch stats slot for ``node`` (the filter chain
-    and the instrumented wrapper both write into the same slot)."""
-    stats = ctx.batch_stats.get(id(node))
-    if stats is None:
-        stats = ctx.batch_stats[id(node)] = BatchNodeStats()
-    return stats
+class AnalyzeListener(ExecutionListener):
+    """EXPLAIN ANALYZE as an event listener: per-node
+    :class:`~repro.exec.operators.OperatorStats` plus their
+    :class:`BatchNodeStats` companions, both keyed by ``id(plan_node)``.
+    ``Executor.execute(instrument=True)`` attaches one."""
+
+    def __init__(self) -> None:
+        self.node_stats: dict[int, OperatorStats] = {}
+        self.batch_stats: dict[int, BatchNodeStats] = {}
+        #: Per node, ``pred_id`` → that predicate's stats (a predicate
+        #: a re-plan moves away and back keeps its entry).
+        self._chains: dict[int, dict[int, BatchPredicateStats]] = {}
+
+    def _register(self, key: int, chain) -> dict[int, BatchPredicateStats]:
+        known = self._chains[key]
+        for predicate in chain:
+            if predicate.pred_id not in known:
+                pstats = known[predicate.pred_id] = BatchPredicateStats(
+                    predicate
+                )
+                self.batch_stats[key].predicates.append(pstats)
+        return known
+
+    def on_open(self, node) -> None:
+        key = id(node)
+        self.node_stats[key] = OperatorStats()
+        self.batch_stats[key] = BatchNodeStats()
+        self._chains[key] = {}
+        self._register(key, node.filters)
+
+    def on_batch(self, key, rows, seconds, delta) -> None:
+        self.on_done(key, seconds, delta)  # every pull's time and charges
+        if rows is not None:
+            self.node_stats[key].rows_out += rows
+            batch = self.batch_stats[key]
+            batch.batches += 1
+            batch.rows_out.observe(float(rows))
+
+    def on_done(self, key, seconds, delta) -> None:
+        stats = self.node_stats[key]
+        io, cpu, function, hits = delta
+        stats.wall_seconds += seconds
+        stats.io_charged += io
+        stats.cpu_charged += cpu
+        stats.function_charged += function
+        stats.cache_hits += hits
+
+    def on_filter(
+        self, key, chain, rows_in, rows_out, declared, kernels
+    ) -> None:
+        self.batch_stats[key].rows_in.observe(float(rows_in))
+        known = self._register(key, chain)
+        for predicate, kernel in zip(chain, kernels):
+            pstats = known[predicate.pred_id]
+            n_in, n_out, seconds, hits, misses = kernel
+            pstats.batches += 1
+            pstats.rows_in += n_in
+            pstats.rows_out += n_out
+            pstats.kernel_seconds += seconds
+            pstats.cache_hits += hits
+            pstats.cache_misses += misses
 
 
 # -- batch predicate evaluation ----------------------------------------------
@@ -335,9 +396,9 @@ class PredicateRunner:
     via ``charge_function(cost, calls=n)``) up to the budget frontier:
     total charge, call count, and the completed/DNF verdict match a
     tuple-at-a-time run, and a batch that crosses the budget evaluates
-    and charges nothing past the crossing call. With feedback or
-    telemetry sinks attached, evaluation drops to a per-binding bracket
-    so observations carry exact per-call costs.
+    and charges nothing past the crossing call. While a listener acts on
+    verdicts, evaluation drops to a per-binding bracket so verdict
+    events carry exact per-call costs.
     """
 
     def __init__(self, predicate: Predicate, ctx: RuntimeContext) -> None:
@@ -431,12 +492,10 @@ class PredicateRunner:
     def evaluate_batch(self, batch: ColumnBatch, slots: list[int]) -> bytearray:
         """Fill a selection mask over a whole batch, reading columns
         directly when the predicate shape allows it."""
-        ctx = self.ctx
-        if self._column_compare is not None and ctx.collector is None:
-            # A monitor alone does not force the per-binding bracketed
-            # regime: the predicate is free (every charge is zero), so
-            # the observation can be reported in bulk from the mask —
-            # same density information, none of the per-row overhead.
+        if self._column_compare is not None:
+            # Listeners do not force the per-binding bracketed regime:
+            # the predicate is free (every charge is zero), so the
+            # verdicts can be reported in bulk from the mask.
             op, const, reversed_ = self._column_compare
             if const is None:  # comparisons against NULL never pass
                 mask = bytearray(batch.length)
@@ -452,18 +511,16 @@ class PredicateRunner:
                         (v is not None and op(v, const)) is True
                         for v in column
                     )
-            monitor = ctx.monitor
-            if monitor is not None and batch.length:
-                bulk = getattr(monitor, "observe_predicate_batch", None)
-                if bulk is not None:
-                    bulk(self.predicate, batch.length, sum(mask), ())
+            events = self.ctx.events
+            if events.verdict_listeners and batch.length:
+                events.verdicts(self.predicate, batch.length, sum(mask), ())
             return mask
         return self.evaluate_bindings(_bindings_from_batch(batch, slots))
 
     def evaluate_bindings(self, bindings: list[tuple]) -> bytearray:
         """Fill a selection mask over one batch of bindings."""
         ctx = self.ctx
-        if ctx.collector is not None or ctx.monitor is not None:
+        if ctx.events.verdict_listeners:
             return self._evaluate_observed(bindings)
         n = len(bindings)
         mask = bytearray(n)
@@ -547,8 +604,8 @@ class PredicateRunner:
         return mask
 
     def _evaluate_observed(self, bindings: list[tuple]) -> bytearray:
-        """Attached regime: bracket each evaluation with the meter's
-        function-charge delta so batch observations carry the exact
+        """Observed regime: bracket each evaluation with the meter's
+        function-charge delta so the verdict event carries the exact
         per-call costs."""
         mask = bytearray(len(bindings))
         if not bindings:
@@ -563,51 +620,10 @@ class PredicateRunner:
                 mask[i] = 1
                 passed_count += 1
             charges.append(meter.function_charged - before)
-        observe_predicate_batch(
-            self.ctx.collector,
-            self.ctx.monitor,
-            self.predicate,
-            mask,
-            passed_count,
-            charges,
+        self.ctx.events.verdicts(
+            self.predicate, len(bindings), passed_count, charges
         )
         return mask
-
-
-def observe_predicate_batch(
-    collector,
-    monitor,
-    predicate: Predicate,
-    mask: bytearray,
-    passed_count: int,
-    charges: list[float],
-) -> None:
-    """Report one batch of predicate verdicts to the attached sinks,
-    preferring their bulk hooks and falling back to per-call observes
-    for duck-typed sinks that lack them."""
-    evaluated = len(charges)
-    if collector is not None:
-        bulk = getattr(collector, "observe_batch", None)
-        if bulk is not None:
-            charged_calls = 0
-            charged_cost = 0.0
-            for charge in charges:
-                if charge > 0:
-                    charged_calls += 1
-                    charged_cost += charge
-            bulk(
-                predicate, evaluated, passed_count, charged_calls, charged_cost
-            )
-        else:
-            for i in range(evaluated):
-                collector.observe(predicate, mask[i] == 1, charges[i])
-    if monitor is not None:
-        bulk = getattr(monitor, "observe_predicate_batch", None)
-        if bulk is not None:
-            bulk(predicate, evaluated, passed_count, charges)
-        else:
-            for i in range(evaluated):
-                monitor.observe_predicate(predicate, mask[i] == 1, charges[i])
 
 
 def _bindings_from_batch(
@@ -714,17 +730,14 @@ class BatchFilter(BatchOperator):
         child: BatchOperator,
         filters: list[Predicate],
         ctx: RuntimeContext,
-        node: PlanNode | None = None,
+        node: PlanNode,
     ) -> None:
         self.child = child
         self.filters = filters
         self.ctx = ctx
         self.scope = child.scope
-        self.node_key = id(node) if node is not None else 0
+        self.node_key = id(node)
         self._live = ctx.feed is not None
-        self._stats: BatchNodeStats | None = None
-        if ctx.batch_stats is not None and node is not None:
-            self._stats = _batch_node_stats(ctx, node)
         self._by_pred: dict[int, tuple] = {}
         self._chain: tuple[int, ...] | None = None
         self._refresh()
@@ -736,7 +749,7 @@ class BatchFilter(BatchOperator):
             return
         self._chain = chain
         ctx = self.ctx
-        entries = []
+        self._runners = []
         #: Product of the chain's declared selectivities — what the
         #: optimizer expected the chain to keep (for the monitor's
         #: density-based refinement).
@@ -750,30 +763,16 @@ class BatchFilter(BatchOperator):
                     if ctx.containment is None
                     else None
                 )
-                pstats = None
-                if self._stats is not None:
-                    pstats = BatchPredicateStats(predicate)
-                    self._stats.predicates.append(pstats)
-                entry = (
-                    runner, _input_slots(predicate, self.scope), pstats
-                )
+                entry = (runner, _input_slots(predicate, self.scope))
                 self._by_pred[predicate.pred_id] = entry
-            entries.append(entry)
-        self._runners = [(runner, slots) for runner, slots, _ in entries]
-        self._pred_stats = [pstats for _, _, pstats in entries]
-
-    def _density_hook(self):
-        """The monitor's per-batch density callback, or ``None``."""
-        monitor = self.ctx.monitor
-        if monitor is None or not self.node_key:
-            return None
-        return getattr(monitor, "on_filter_batch", None)
+            self._runners.append(entry)
 
     def batches(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
+        events = ctx.events
+        observed = bool(events.filter_listeners)
+        key = self.node_key
         live = self._live
-        stats = self._stats
-        on_filter_batch = self._density_hook()
         if ctx.containment is not None:
             # Containment slow path: per-tuple contained evaluation keeps
             # retry, backoff, and quarantine semantics row-identical.
@@ -794,23 +793,23 @@ class BatchFilter(BatchOperator):
                     ):
                         mask[i] = 1
                 batch = batch.take(mask)
-                if stats is not None:
-                    stats.rows_in.observe(float(rows_in))
-                if on_filter_batch is not None:
-                    on_filter_batch(
-                        self.node_key,
-                        rows_in,
-                        batch.length,
-                        self.declared_selectivity,
+                if observed:
+                    events.filter(
+                        key, filters, rows_in, batch.length,
+                        self.declared_selectivity, (),
                     )
                 if batch.length:
                     yield batch
             return
-        if stats is None and on_filter_batch is None and not live:
-            # Detached fast path: no stats branch anywhere in the loop.
-            runners = self._runners
+        if not observed:
+            # No observation branch anywhere in the loop.
             for batch in self.child.batches():
-                for runner, slots in runners:
+                if batch is LEAF_BOUNDARY:
+                    yield batch
+                    continue
+                if live:
+                    self._refresh()
+                for runner, slots in self._runners:
                     if batch.length == 0:
                         break
                     mask = runner.evaluate_batch(batch, slots)
@@ -819,6 +818,7 @@ class BatchFilter(BatchOperator):
                     yield batch
             return
         cache = ctx.cache
+        stats = cache.stats if cache is not None else None
         for batch in self.child.batches():
             if batch is LEAF_BOUNDARY:
                 yield batch
@@ -826,40 +826,36 @@ class BatchFilter(BatchOperator):
             if live:
                 self._refresh()
             rows_in = batch.length
-            if stats is not None:
-                stats.rows_in.observe(float(rows_in))
-            for (runner, slots), pstats in zip(
-                self._runners, self._pred_stats
-            ):
-                if batch.length == 0:
-                    break
-                if pstats is None:
+            kernels = []
+            try:
+                for runner, slots in self._runners:
+                    if batch.length == 0:
+                        break
+                    hits = stats.hits if stats is not None else 0
+                    misses = stats.misses if stats is not None else 0
+                    started = time.perf_counter()
                     mask = runner.evaluate_batch(batch, slots)
+                    seconds = time.perf_counter() - started
+                    reached = batch.length
                     batch = batch.take(mask)
-                    continue
-                hits_before = cache.stats.hits if cache is not None else 0
-                misses_before = (
-                    cache.stats.misses if cache is not None else 0
-                )
-                started = time.perf_counter()
-                mask = runner.evaluate_batch(batch, slots)
-                pstats.kernel_seconds += time.perf_counter() - started
-                pstats.batches += 1
-                pstats.rows_in += batch.length
-                batch = batch.take(mask)
-                pstats.rows_out += batch.length
-                if cache is not None:
-                    pstats.cache_hits += cache.stats.hits - hits_before
-                    pstats.cache_misses += (
-                        cache.stats.misses - misses_before
+                    if stats is not None:
+                        hits = stats.hits - hits
+                        misses = stats.misses - misses
+                    kernels.append(
+                        (reached, batch.length, seconds, hits, misses)
                     )
-            if on_filter_batch is not None:
-                on_filter_batch(
-                    self.node_key,
-                    rows_in,
-                    batch.length,
-                    self.declared_selectivity,
+            except (BudgetExceededError, UdfError):
+                # A budget or UDF abort mid-chain: the rows entered the
+                # chain, but no batch leaves it.
+                events.filter(
+                    key, self.filters, rows_in, None,
+                    self.declared_selectivity, kernels,
                 )
+                raise
+            events.filter(
+                key, self.filters, rows_in, batch.length,
+                self.declared_selectivity, kernels,
+            )
             if batch.length:
                 yield batch
 
@@ -999,7 +995,7 @@ class BatchNestedLoopJoin(BatchOperator):
             key = inner_row[inner_slot]
             if key is not None:  # `=` on NULL is never true
                 buckets.setdefault(key, []).append(inner_row)
-        attached = ctx.collector is not None or ctx.monitor is not None
+        events = ctx.events
         pending = out.rows
         for obatch in self.outer.batches():
             if obatch is LEAF_BOUNDARY:
@@ -1014,26 +1010,14 @@ class BatchNestedLoopJoin(BatchOperator):
                     for inner_row in matched:
                         pending.append(outer_row + inner_row)
                     matches += len(matched)
-            if attached and n and inner_rows:
+            if events.verdict_listeners and n and inner_rows:
                 # A tuple-at-a-time nested loop observes the (free)
                 # equality once per pair; report the same verdict
                 # totals, with zero charged cost, batch by batch.
-                self._observe_pairs(n * len(inner_rows), matches)
+                events.verdicts(
+                    self.join.primary, n * len(inner_rows), matches, ()
+                )
             yield from out.drain()
-
-    def _observe_pairs(self, pairs: int, matches: int) -> None:
-        ctx = self.ctx
-        predicate = self.join.primary
-        collector = ctx.collector
-        if collector is not None:
-            bulk = getattr(collector, "observe_batch", None)
-            if bulk is not None:
-                bulk(predicate, pairs, matches, 0, 0.0)
-        monitor = ctx.monitor
-        if monitor is not None:
-            bulk = getattr(monitor, "observe_predicate_batch", None)
-            if bulk is not None:
-                bulk(predicate, pairs, matches, ())
 
     def _pairwise(
         self,
@@ -1362,152 +1346,54 @@ class BatchHashJoin(BatchOperator):
         yield from out.flush()
 
 
-# -- instrumentation / telemetry wrappers ------------------------------------
-#
-# Every wrapper passes LEAF_BOUNDARY markers through untouched: a marker
-# is not a batch, so it counts no rows and records no events.
+# -- observation -------------------------------------------------------------
 
 
-class InstrumentedBatchOperator(BatchOperator):
-    """Measures one plan node's actuals: meter/cache deltas are
-    bracketed around each batch pull, inclusive of the node's subtree.
-    Only constructed in EXPLAIN ANALYZE mode."""
+class ObservedBatchOperator(BatchOperator):
+    """Reports one plan node's pulls to the execution event stream:
+    ``open`` at construction, one ``batch`` event per pull — rows, wall
+    seconds, and the meter/cache deltas bracketed around the pull,
+    inclusive of the node's subtree — and ``done`` on exhaustion. A
+    :data:`LEAF_BOUNDARY` marker passes through as a ``batch`` event with
+    ``rows=None``: it carries the pull's charges but no rows. Only built
+    when the stream has listeners."""
 
     def __init__(
         self, node: PlanNode, child: BatchOperator, ctx: RuntimeContext
     ) -> None:
-        assert ctx.node_stats is not None
         self.child = child
         self.ctx = ctx
-        self.scope = child.scope
-        self.stats = OperatorStats()
-        ctx.node_stats[id(node)] = self.stats
-        self.batch_stats: BatchNodeStats | None = (
-            _batch_node_stats(ctx, node)
-            if ctx.batch_stats is not None
-            else None
-        )
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        meter = self.ctx.meter
-        cache = self.ctx.cache
-        stats = self.stats
-        batch_stats = self.batch_stats
-        iterator = self.child.batches()
-        while True:
-            io_before = meter.io_charged
-            cpu_before = meter.cpu_charged
-            function_before = meter.function_charged
-            hits_before = cache.stats.hits if cache is not None else 0
-            started = time.perf_counter()
-            batch = next(iterator, None)
-            stats.wall_seconds += time.perf_counter() - started
-            stats.io_charged += meter.io_charged - io_before
-            stats.cpu_charged += meter.cpu_charged - cpu_before
-            stats.function_charged += meter.function_charged - function_before
-            if cache is not None:
-                stats.cache_hits += cache.stats.hits - hits_before
-            if batch is None:
-                return
-            if batch is not LEAF_BOUNDARY:
-                stats.rows_out += batch.length
-                if batch_stats is not None:
-                    batch_stats.batches += 1
-                    batch_stats.rows_out.observe(float(batch.length))
-            yield batch
-
-
-class MonitoredBatchOperator(BatchOperator):
-    """Reports one plan node's pulls to the live telemetry monitor:
-    activation at construction (a plan node with no operator — an
-    index-nested-loop join's inner scan — never activates), one bulk row
-    report per batch, completion on exhaustion. Uses the monitor's
-    ``on_rows`` bulk hook when present."""
-
-    def __init__(
-        self, node: PlanNode, child: BatchOperator, ctx: RuntimeContext
-    ) -> None:
-        assert ctx.monitor is not None
-        self.child = child
-        self.monitor = ctx.monitor
         self.key = id(node)
         self.scope = child.scope
-        self.monitor.activate(self.key)
+        ctx.events.open(node)
 
     def batches(self) -> Iterator[ColumnBatch]:
-        monitor = self.monitor
+        events = self.ctx.events
+        meter = self.ctx.meter
+        cache = self.ctx.cache
+        stats = cache.stats if cache is not None else None
         key = self.key
-        on_rows = getattr(monitor, "on_rows", None)
         iterator = self.child.batches()
         while True:
+            io = meter.io_charged
+            cpu = meter.cpu_charged
+            function = meter.function_charged
+            hits = stats.hits if stats is not None else 0
             started = time.perf_counter()
             batch = next(iterator, None)
-            elapsed = time.perf_counter() - started
-            if batch is None:
-                monitor.on_done(key, elapsed)
-                return
-            if batch is LEAF_BOUNDARY:
-                yield batch
-                continue
-            if on_rows is not None:
-                on_rows(key, batch.length, elapsed)
-            else:
-                per_row = elapsed / batch.length if batch.length else 0.0
-                for _ in range(batch.length):
-                    monitor.on_row(key, per_row)
-            yield batch
-
-
-class FlightBatchOperator(BatchOperator):
-    """Transparent wrapper feeding the execution flight recorder.
-
-    One bounded event per emitted batch (the ring buffer caps total
-    retention), plus monitor progress snapshots at power-of-two batch
-    counts so a postmortem can show how far along the plan believed it
-    was. Only constructed when the context carries a ``flight``
-    recorder; the default path never sees this class.
-    """
-
-    def __init__(
-        self, node: PlanNode, child: BatchOperator, ctx: RuntimeContext
-    ) -> None:
-        assert ctx.flight is not None
-        self.child = child
-        self.ctx = ctx
-        self.flight = ctx.flight
-        self.label = _node_label(node)
-        self.scope = child.scope
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        ctx = self.ctx
-        flight = self.flight
-        meter = ctx.meter
-        monitor = ctx.monitor
-        label = self.label
-        count = 0
-        for batch in self.child.batches():
-            if batch is LEAF_BOUNDARY:
-                yield batch
-                continue
-            count += 1
-            flight.record(
-                "batch",
-                op=label,
-                batch=count,
-                rows=batch.length,
-                charged=meter.charged,
+            seconds = time.perf_counter() - started
+            delta = (
+                meter.io_charged - io,
+                meter.cpu_charged - cpu,
+                meter.function_charged - function,
+                stats.hits - hits if stats is not None else 0,
             )
-            if monitor is not None and (count & (count - 1)) == 0:
-                flight.record(
-                    "progress",
-                    op=label,
-                    batch=count,
-                    fraction=round(monitor.progress(), 6),
-                )
+            if batch is None:
+                events.done(key, seconds, delta)
+                return
+            rows = None if batch is LEAF_BOUNDARY else batch.length
+            events.batch(key, rows, seconds, delta)
             yield batch
-        flight.record(
-            "op.done", op=label, batches=count, charged=meter.charged
-        )
 
 
 # -- adaptive feed -----------------------------------------------------------
@@ -1559,26 +1445,6 @@ class BatchLeafFeed(BatchOperator):
                 yield piece
 
 
-class BatchTap(BatchOperator):
-    """Transparent row counter feeding the adaptive controller's join
-    fan-out observations. Charges nothing, changes nothing; only
-    constructed for nodes in ``feed.tap_ids``."""
-
-    def __init__(self, node: PlanNode, child: BatchOperator, feed) -> None:
-        self.child = child
-        self.feed = feed
-        self.key = id(node)
-        self.scope = child.scope
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        feed = self.feed
-        key = self.key
-        for batch in self.child.batches():
-            if batch is not LEAF_BOUNDARY:
-                feed.on_node_rows(key, batch.length)
-            yield batch
-
-
 # -- plan compilation --------------------------------------------------------
 
 
@@ -1587,20 +1453,11 @@ def build_batch_operator(
     ctx: RuntimeContext,
     batch_rows: int = DEFAULT_BATCH_ROWS,
 ) -> BatchOperator:
-    """Compile a plan tree into a batch-operator tree (tapped under an
-    adaptive feed, instrumented when the context carries a
-    ``node_stats`` sink, flight-recorded when it carries a recorder,
-    monitored when it carries a ``monitor``)."""
+    """Compile a plan tree into a batch-operator tree, each node observed
+    when the context's event stream has listeners."""
     operator = _build_batch_operator(node, ctx, batch_rows)
-    feed = ctx.feed
-    if feed is not None and id(node) in feed.tap_ids:
-        operator = BatchTap(node, operator, feed)
-    if ctx.node_stats is not None:
-        operator = InstrumentedBatchOperator(node, operator, ctx)
-    if ctx.flight is not None:
-        operator = FlightBatchOperator(node, operator, ctx)
-    if ctx.monitor is not None:
-        operator = MonitoredBatchOperator(node, operator, ctx)
+    if ctx.events:
+        operator = ObservedBatchOperator(node, operator, ctx)
     return operator
 
 

@@ -553,8 +553,11 @@ def run_chaos(
                     db,
                     failure_policy=failure_policy,
                     clock=injector.clock,
-                    monitor=monitor,
-                    flight=recorder,
+                    listeners=[
+                        listener
+                        for listener in (recorder, monitor)
+                        if listener is not None
+                    ],
                 )
                 fired_before = injector.stats.errors_injected
                 clock_before = injector.clock.latency_units
@@ -694,7 +697,7 @@ def _run_adaptive_twin(
         db,
         failure_policy=failure_policy,
         clock=injector.clock,
-        flight=recorder,
+        listeners=(recorder,) if recorder is not None else (),
         adaptive=adaptive_policy,
         ledger=ledger,
     )

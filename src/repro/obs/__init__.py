@@ -5,7 +5,7 @@ Four small pieces:
 * :mod:`repro.obs.tracer` — span-based decision traces with JSONL export
   and a zero-overhead :class:`NullTracer` default;
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of named counters,
-  timers, gauges, and histograms, plus :func:`record_run` which mirrors one
+  timers, and gauges, plus :func:`record_run` which mirrors one
   optimize/execute round under uniform ``plan.*`` / ``exec.*`` names;
 * :mod:`repro.obs.profile` — a :class:`PhaseProfiler` accumulating
   wall-clock per optimizer/executor phase (enumeration levels, fixpoint
@@ -24,7 +24,9 @@ Four small pieces:
 * :mod:`repro.obs.quality` — the shared :func:`qerror` metric, log-scale
   q-error histograms, and the observed-vs-declared drift detector that
   emits ``stats.drift`` ledger/trace events;
-* :mod:`repro.obs.feedback` — :class:`FeedbackCollector` execution sinks
+* :mod:`repro.obs.events` — the execution event stream every run-time
+  observer listens on (:class:`ExecutionListener`, :class:`EventStream`);
+* :mod:`repro.obs.feedback` — the :class:`FeedbackCollector` listener
   and the epoch-versioned :class:`StatsFeedbackStore`
   (``STATS_<workload>.json``) behind ``repro stats`` / ``repro drift``
   and the opt-in ``Catalog.apply_feedback`` injection path;
@@ -96,7 +98,6 @@ from repro.obs.histograms import (
 )
 from repro.obs.metrics import (
     Counter,
-    Histogram,
     MetricsRegistry,
     Timer,
     record_run,
@@ -172,7 +173,6 @@ __all__ = [
     "FeedbackCollector",
     "Finding",
     "FlightRecorder",
-    "Histogram",
     "LedgerEvent",
     "MetricsRegistry",
     "NULL_LEDGER",

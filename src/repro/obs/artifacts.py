@@ -272,6 +272,18 @@ def collect_artifacts(path) -> dict[str, Path]:
     return {key: source}
 
 
+def is_bench_adapt_artifact(path) -> bool:
+    """Is ``path`` a ``repro bench-adapt`` artifact? It shares the
+    ``BENCH_`` prefix with the ``--record`` artifacts but is keyed by
+    ``scenarios``, and ``bench-adapt`` gates it itself."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, ValueError):
+        return False  # load_run_artifact reports it properly
+    return isinstance(document, dict) and "scenarios" in document
+
+
 class ArtifactRecorder:
     """Records artifacts into a directory — or nothing, when unconfigured.
 

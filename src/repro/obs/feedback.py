@@ -4,10 +4,11 @@ EXPLAIN ANALYZE (PR 1) measures per-operator truth and throws it away
 after every run; ROADMAP item 3 wants it *persisted* as the input to
 adaptive re-optimization. This module is that persistence layer:
 
-* :class:`FeedbackCollector` — a per-execution sink the executor feeds
-  one record per predicate evaluation (did it pass, what did it charge).
-  The default executor path carries no collector at all, so collection
-  is zero-overhead when disabled, like ``NULL_LEDGER``;
+* :class:`FeedbackCollector` — a per-execution listener on the
+  executor's event stream, tallying every predicate verdict event (how
+  many passed, what they charged). An executor without listeners pays
+  nothing, so collection is zero-overhead when disabled, like
+  ``NULL_LEDGER``;
 * :class:`PredicateObservation` — one predicate's tallies folded into
   observed selectivity (``passed / evaluated``) and observed per-call
   cost (``charged_cost / charged_calls``), next to what the catalog
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ArtifactError
+from repro.obs.events import ExecutionListener
 from repro.obs.quality import (
     DRIFT_QERROR_THRESHOLD,
     detect_drift,
@@ -196,15 +198,14 @@ class _Tally:
     charged_cost: float = 0.0
 
 
-class FeedbackCollector:
-    """Per-execution sink for predicate-evaluation observations.
+class FeedbackCollector(ExecutionListener):
+    """Per-execution listener for predicate-evaluation observations.
 
-    The executor's ``evaluate_predicate`` chokepoint calls
-    :meth:`observe` once per evaluation with the verdict and the function
-    cost charged by that evaluation (zero on cache hits and on contained
-    failed attempts). Tallies are kept per ``pred_id`` during the run and
-    folded into fingerprint-keyed :class:`PredicateObservation` objects
-    at harvest, merging structurally identical conjuncts.
+    Each verdict event folds into per-``pred_id`` tallies: evaluations,
+    passes, and the function cost charged (zero on cache hits and on
+    contained failed attempts, which count as no charged call). Tallies
+    are folded into fingerprint-keyed :class:`PredicateObservation`
+    objects at harvest, merging structurally identical conjuncts.
     """
 
     __slots__ = ("_tallies",)
@@ -214,33 +215,19 @@ class FeedbackCollector:
     def __init__(self) -> None:
         self._tallies: dict[int, _Tally] = {}
 
-    def observe(self, predicate, passed: bool, charged: float) -> None:
-        tally = self._tallies.get(predicate.pred_id)
-        if tally is None:
-            tally = _Tally(predicate)
-            self._tallies[predicate.pred_id] = tally
-        tally.evaluated += 1
-        if passed:
-            tally.passed += 1
-        if charged > 0:
-            tally.charged_calls += 1
-            tally.charged_cost += charged
-
-    def observe_batch(
-        self,
-        predicate,
-        evaluated: int,
-        passed: int,
-        charged_calls: int,
-        charged_cost: float,
+    def on_verdicts(
+        self, predicate, evaluated: int, passed: int, charges
     ) -> None:
-        """Fold one batch of verdicts in at once — the executor's
-        bulk equivalent of ``evaluated`` :meth:`observe` calls, with
-        identical tally totals."""
         tally = self._tallies.get(predicate.pred_id)
         if tally is None:
             tally = _Tally(predicate)
             self._tallies[predicate.pred_id] = tally
+        charged_calls = 0
+        charged_cost = 0.0
+        for charge in charges:
+            if charge > 0:
+                charged_calls += 1
+                charged_cost += charge
         tally.evaluated += evaluated
         tally.passed += passed
         tally.charged_calls += charged_calls

@@ -7,14 +7,14 @@ the ``abort`` policy, budget exhaustion, an injected permanent fault —
 all of it evaporates: the structured DNF says *that* the run died, not
 what the engine was doing in its final batches.
 
-The :class:`FlightRecorder` is a fixed-capacity ring buffer riding
-:class:`~repro.exec.operators.RuntimeContext` as a None-guarded
-``flight`` hook (the ``collector``/``monitor`` pattern — zero overhead
-when detached). Operators append bounded events — one per emitted
-batch, plus containment retry/quarantine events, adaptive re-plans and
-monitor progress snapshots —
-and old events fall off the front, so memory stays O(capacity) no
-matter how long the run.
+The :class:`FlightRecorder` is a fixed-capacity ring buffer listening
+on the executor's execution event stream (:mod:`repro.obs.events`) —
+zero overhead when no listener is attached. It keeps the last events
+of the stream in bounded form — one per emitted batch and per
+exhausted operator, the containment retry/quarantine and adaptive
+re-plan notes, the abort, and progress snapshots of a telemetry
+monitor listening on the same run — and old events fall off the front,
+so memory stays O(capacity) no matter how long the run.
 
 Determinism is the contract: events are timestamped with the
 :class:`~repro.faults.clock.SimulatedClock` (never wall-clock), carry
@@ -34,7 +34,10 @@ from pathlib import Path
 from repro.errors import ArtifactError
 from repro.faults.clock import SimulatedClock
 from repro.obs.artifacts import _json_safe
+from repro.obs.events import ExecutionListener
 from repro.obs.quality import fmt_stat
+from repro.obs.runtime_telemetry import RuntimeMonitor
+from repro.plan.display import _node_label
 
 #: Dump filename prefix, mirroring ``BENCH_`` / ``CHAOS_`` / ``STATS_``.
 FLIGHT_PREFIX = "FLIGHT_"
@@ -53,14 +56,14 @@ MAX_DUMP_QUARANTINE = 5
 MAX_DUMP_PROVENANCE = 20
 
 
-class FlightRecorder:
+class FlightRecorder(ExecutionListener):
     """Fixed-capacity ring buffer of execution events.
 
-    ``record`` is the only hot-path entry point: one dict append per
-    event, oldest events dropped once ``capacity`` is reached. The
-    executor marks the recorder *tripped* via :meth:`note_abort` when a
-    run dies; callers check :attr:`tripped` to decide whether to
-    serialize a dump.
+    :meth:`record` is the only hot-path entry point: one dict append per
+    event, oldest events dropped once ``capacity`` is reached. A run's
+    ``end`` event marks the recorder *tripped* via :meth:`note_abort`
+    when the run died; callers check :attr:`tripped` to decide whether
+    to serialize a dump.
     """
 
     def __init__(
@@ -75,6 +78,10 @@ class FlightRecorder:
         self.recorded = 0
         #: Structured abort reason; empty while the run is healthy.
         self.tripped = ""
+        self._meter = None
+        self._monitor: RuntimeMonitor | None = None
+        #: Per open operator: ``[label, batches emitted]``.
+        self._operators: dict[int, list] = {}
 
     def record(self, kind: str, **fields) -> None:
         """Append one event. ``t`` is the simulated clock's reading at
@@ -90,6 +97,54 @@ class FlightRecorder:
         if not self.tripped:
             self.tripped = reason
             self.record("query.abort", reason=reason)
+
+    # -- the event stream ----------------------------------------------------
+
+    def on_start(self, root, ctx) -> None:
+        self._meter = ctx.meter
+        self._monitor = next(
+            (
+                listener
+                for listener in ctx.events.listeners
+                if isinstance(listener, RuntimeMonitor)
+            ),
+            None,
+        )
+        self._operators = {}
+
+    def on_end(self, result) -> None:
+        if not result.completed:
+            self.note_abort(result.error)
+
+    def on_open(self, node) -> None:
+        self._operators[id(node)] = [_node_label(node), 0]
+
+    def on_batch(self, key, rows, seconds, delta) -> None:
+        if rows is None:
+            return
+        operator = self._operators[key]
+        operator[1] += 1
+        label, count = operator
+        self.record(
+            "batch", op=label, batch=count, rows=rows,
+            charged=self._meter.charged,
+        )
+        # Progress snapshots at power-of-two batch counts show how far
+        # along the plan believed it was.
+        if self._monitor is not None and (count & (count - 1)) == 0:
+            self.record(
+                "progress", op=label, batch=count,
+                fraction=round(self._monitor.progress(), 6),
+            )
+
+    def on_done(self, key, seconds, delta) -> None:
+        label, count = self._operators[key]
+        self.record(
+            "op.done", op=label, batches=count, charged=self._meter.charged
+        )
+
+    def on_note(self, kind: str, fields: dict) -> None:
+        self.record(kind, **fields)
 
     def events(self) -> list[dict]:
         """Retained events, oldest first."""

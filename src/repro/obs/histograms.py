@@ -1,9 +1,8 @@
 """Streaming log-bucketed histograms with quantile estimates.
 
-The list-backed :class:`~repro.obs.metrics.Histogram` keeps every
-observation, which is fine for a handful of planning times but not for
-one sample per predicate evaluation on a million-row run. This class
-keeps O(log range) state instead: powers-of-two buckets — the same
+Keeping every observation is fine for a handful of planning times but
+not for one sample per predicate evaluation on a million-row run. This
+class keeps O(log range) state instead: powers-of-two buckets — the same
 log-scale convention :func:`~repro.obs.quality.qerror_histogram` uses —
 plus exact count/sum/min/max, and estimates p50/p90/p99 by nearest-rank
 walk over the buckets with the bucket's geometric midpoint clamped into

@@ -1,4 +1,4 @@
-"""A registry of named counters, timers, gauges, and histograms.
+"""A registry of named counters, timers, and gauges.
 
 The unified instrumentation surface for the reproduction: planner decision
 counts, executor charge ledgers, and wall-clock timings all land here under
@@ -19,7 +19,6 @@ them into the registry under the uniform names.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -59,43 +58,13 @@ class Timer:
         self.count += 1
 
 
-@dataclass
-class Histogram:
-    """A set of observed values with summary statistics."""
-
-    name: str
-    values: list[float] = field(default_factory=list)
-
-    def observe(self, value: float) -> None:
-        self.values.append(value)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else math.nan
-
-    def percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile; ``fraction`` in [0, 1]."""
-        if not self.values:
-            return math.nan
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        ordered = sorted(self.values)
-        index = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
-        return ordered[index]
-
-
 class MetricsRegistry:
-    """Named counters, timers, gauges, and histograms behind one snapshot."""
+    """Named counters, timers, and gauges behind one snapshot."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._timers: dict[str, Timer] = {}
         self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
@@ -108,12 +77,6 @@ class MetricsRegistry:
         if timer is None:
             timer = self._timers[name] = Timer(name)
         return timer
-
-    def histogram(self, name: str) -> Histogram:
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(name)
-        return histogram
 
     def gauge(self, name: str, value: float) -> None:
         """Set a point-in-time value (last write wins)."""
@@ -129,13 +92,6 @@ class MetricsRegistry:
         for name, timer in self._timers.items():
             out[f"{name}.seconds"] = timer.seconds
             out[f"{name}.count"] = timer.count
-        for name, histogram in self._histograms.items():
-            out[f"{name}.count"] = histogram.count
-            out[f"{name}.mean"] = histogram.mean
-            out[f"{name}.p50"] = histogram.percentile(0.50)
-            out[f"{name}.p95"] = histogram.percentile(0.95)
-            if histogram.values:
-                out[f"{name}.max"] = max(histogram.values)
         return out
 
 

@@ -93,12 +93,6 @@ def signed_relative_error(estimated: float, actual: float) -> float:
     return (estimated - actual) / actual
 
 
-def _bucket_label(power: int) -> str:
-    if power >= QERROR_BUCKET_CAP:
-        return f">={2 ** QERROR_BUCKET_CAP}"
-    return f"[{2 ** power},{2 ** (power + 1)})"
-
-
 def qerror_histogram(values) -> dict[str, int]:
     """Log-scale histogram of q-errors: powers-of-two buckets.
 
@@ -106,8 +100,13 @@ def qerror_histogram(values) -> dict[str, int]:
     non-empty buckets, so the dict serialises deterministically. ``nan``
     values (undefined errors) are skipped — they carry no magnitude to
     bucket — and q-errors below 1 (impossible from :func:`qerror`, but
-    callers may feed raw ratios) clamp into the first bucket.
+    callers may feed raw ratios) clamp into the first bucket. Bucket
+    labels are :class:`~repro.obs.histograms.StreamingHistogram`'s, plus
+    the open-ended ``>=2^CAP`` bucket.
     """
+    # Imported here: the histograms module imports this one.
+    from repro.obs.histograms import _bucket_label
+
     counts: dict[int, int] = {}
     infinite = 0
     for value in values:
@@ -121,7 +120,12 @@ def qerror_histogram(values) -> dict[str, int]:
             counts.get(min(power, QERROR_BUCKET_CAP), 0) + 1
         )
     histogram = {
-        _bucket_label(power): counts[power] for power in sorted(counts)
+        (
+            _bucket_label(power)
+            if power < QERROR_BUCKET_CAP
+            else f">={2 ** QERROR_BUCKET_CAP}"
+        ): counts[power]
+        for power in sorted(counts)
     }
     if infinite:
         histogram["inf"] = infinite

@@ -2,10 +2,10 @@
 
 Every observability layer before this one (tracer, provenance ledger,
 bench artifacts, statistics feedback) reports *after* a query finishes.
-This module watches a plan while it runs: a :class:`RuntimeMonitor`
-rides :class:`~repro.exec.operators.RuntimeContext` as a None-guarded
-``monitor`` hook — the exact pattern of the feedback ``collector`` — so
-the default path pays nothing, and an attached monitor sees every
+This module watches a plan while it runs: a :class:`RuntimeMonitor` is
+a listener on the executor's execution event stream
+(:mod:`repro.obs.events`), like the feedback collector — an executor
+without listeners pays nothing, and an attached monitor sees every
 operator pull and every predicate verdict as they happen.
 
 Three concerns live here:
@@ -24,8 +24,8 @@ regardless of how wrong the estimates were:
 
 * *monotone*: reported fractions never decrease (per-operator and
   whole-plan fractions are max-clamped, and a running operator is
-  pinned below :data:`PROGRESS_RUNNING_CAP` until its
-  ``StopIteration`` proves it finished);
+  pinned below :data:`PROGRESS_RUNNING_CAP` until its ``done`` event
+  proves it finished);
 * *terminal*: :meth:`RuntimeMonitor.complete` drives a successful run
   to exactly 1.0, and :meth:`RuntimeMonitor.freeze` pins an aborted
   run's progress at its last value with a structured reason — DNF runs
@@ -49,6 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.cost.model import CostModel
+from repro.obs.events import ExecutionListener
 from repro.obs.feedback import predicate_fingerprint
 from repro.obs.histograms import StreamingHistogram
 from repro.obs.quality import fmt_stat
@@ -175,18 +177,17 @@ class QueryResourceReport:
         }
 
 
-class RuntimeMonitor:
-    """The live telemetry sink one :class:`~repro.exec.runtime.Executor`
-    execution reports into.
+class RuntimeMonitor(ExecutionListener):
+    """The live telemetry listener of one
+    :class:`~repro.exec.runtime.Executor` execution.
 
-    Lifecycle: the executor calls :meth:`attach` with the plan and its
-    cost model before building operators; each
-    :class:`~repro.exec.vector.MonitoredBatchOperator` calls
-    :meth:`activate` at construction and :meth:`on_rows`/:meth:`on_done`
-    per batch pull; predicate evaluation reports its verdicts through
-    :meth:`observe_predicate_batch` (:meth:`observe_predicate` per
-    verdict on the contained path); the executor finishes with
-    :meth:`complete` (success) or :meth:`freeze` (DNF). All callbacks
+    Lifecycle: the run's ``start`` event :meth:`attach`-es the plan with
+    a cost model mirroring the executor's charging configuration, before
+    any operator is built; each operator ``open`` activates its node,
+    and ``batch``/``done`` events advance its progress; ``verdicts`` and
+    ``filter`` events refine the estimates; the ``end`` event finishes
+    with :meth:`complete` (success) or :meth:`freeze` (DNF) and attaches
+    the run's :class:`QueryResourceReport` to the result. All callbacks
     are cheap tallies — no allocation on the hot path beyond the first
     touch of a key.
     """
@@ -215,8 +216,26 @@ class RuntimeMonitor:
         self.reason = ""
         self._plan_fraction = 0.0
         self._events = 0
+        #: A contained run reports every evaluation on its own: refine
+        #: at power-of-two milestones then, not on every report.
+        self._per_row = False
+        self._clock = None
 
     # -- lifecycle -----------------------------------------------------------
+
+    def on_start(self, root, ctx) -> None:
+        self.attach(
+            root, CostModel(ctx.catalog, ctx.params, caching=ctx.caching)
+        )
+        self._per_row = ctx.containment is not None
+        self._clock = ctx.clock
+
+    def on_end(self, result) -> None:
+        if result.completed:
+            self.complete()
+        else:
+            self.freeze(result.error)
+        result.resources = self.resource_report(result, clock=self._clock)
 
     def attach(self, plan: Plan | PlanNode, model) -> None:
         """Register every plan node with its estimated work budget.
@@ -278,9 +297,9 @@ class RuntimeMonitor:
     def freeze(self, reason: str) -> None:
         """Pin progress at its current value with a structured reason.
 
-        Called by the executor when a run dies (budget DNF, UDF abort).
-        Idempotent; later :meth:`complete`/:meth:`on_row` calls cannot
-        thaw a frozen run.
+        Called when a run dies (budget DNF, UDF abort). Idempotent;
+        later :meth:`complete`/:meth:`on_batch` calls cannot thaw a
+        frozen run.
         """
         if self.state == "aborted":
             return
@@ -301,9 +320,9 @@ class RuntimeMonitor:
 
     # -- operator callbacks --------------------------------------------------
 
-    def activate(self, key: int) -> None:
-        """A monitored operator for this node was constructed — it
-        counts."""
+    def on_open(self, node) -> None:
+        """An operator for this node was built — it counts."""
+        key = id(node)
         operator = self.operators.get(key)
         if operator is None:
             # A node that was not registered at attach time (defensive;
@@ -319,11 +338,16 @@ class RuntimeMonitor:
             self.operators[key] = operator
         operator.active = True
 
-    def on_row(self, key: int, seconds: float) -> None:
+    def on_batch(self, key: int, rows, seconds: float, delta) -> None:
+        """One batch of ``rows`` rows pulled in ``seconds``. Progress
+        stays monotone (max-clamp, estimate growth past the cap); the
+        latency histogram records one batch-level sample, which is fine
+        because pull-latency histograms are export-only and never
+        gated."""
         operator = self.operators.get(key)
-        if operator is None or self.state == "aborted":
+        if operator is None or self.state == "aborted" or not rows:
             return
-        operator.rows_out += 1
+        operator.rows_out += rows
         if operator.rows_out > operator.estimated_rows:
             # The estimate was too low; grow it so the capped fraction
             # keeps inching up instead of flatlining.
@@ -347,39 +371,7 @@ class RuntimeMonitor:
         ):
             self.refresh_callback(self)
 
-    def on_rows(self, key: int, count: int, seconds: float) -> None:
-        """Bulk row report: one batch of ``count`` rows pulled in
-        ``seconds`` — the batch equivalent of ``count``
-        :meth:`on_row` calls. Progress stays monotone (same max-clamp
-        and estimate-growth rules); the latency histogram records one
-        batch-level sample, which is fine because pull-latency
-        histograms are export-only and never gated."""
-        operator = self.operators.get(key)
-        if operator is None or self.state == "aborted" or count <= 0:
-            return
-        operator.rows_out += count
-        if operator.rows_out > operator.estimated_rows:
-            operator.estimated_rows = (
-                operator.rows_out / PROGRESS_RUNNING_CAP
-            )
-        fraction = min(
-            operator.rows_out / operator.estimated_rows,
-            PROGRESS_RUNNING_CAP,
-        )
-        if fraction > operator.fraction:
-            operator.fraction = fraction
-        histogram = self.latency.get(key)
-        if histogram is None:
-            histogram = self.latency[key] = StreamingHistogram()
-        histogram.observe(seconds)
-        self._events += 1
-        if (
-            self.refresh_callback is not None
-            and self._events % self.refresh_every == 0
-        ):
-            self.refresh_callback(self)
-
-    def on_done(self, key: int, seconds: float) -> None:
+    def on_done(self, key: int, seconds: float, delta) -> None:
         operator = self.operators.get(key)
         if operator is None or self.state == "aborted":
             return
@@ -392,35 +384,18 @@ class RuntimeMonitor:
         if self.refresh_callback is not None:
             self.refresh_callback(self)
 
-    # -- predicate callback --------------------------------------------------
+    # -- predicate callbacks -------------------------------------------------
 
-    def observe_predicate(self, predicate, passed: bool, charged: float) -> None:
-        telemetry = self.predicates.get(predicate.pred_id)
-        if telemetry is None:
-            telemetry = self._register_predicate(predicate, 0)
-        telemetry.evaluated += 1
-        if passed:
-            telemetry.passed += 1
-        telemetry.cost.observe(charged)
-        # Refine the owning node's estimate at power-of-two milestones —
-        # O(log n) refinements per predicate, never per row.
-        count = telemetry.evaluated
-        if (
-            telemetry.node_key
-            and count >= REFINE_MIN_EVALS
-            and (count & (count - 1)) == 0
-        ):
-            self._refine(telemetry.node_key)
-
-    def observe_predicate_batch(
+    def on_verdicts(
         self, predicate, evaluated: int, passed: int, charges
     ) -> None:
-        """Bulk verdict report from a batch of evaluations: ``evaluated``
-        evaluations of which ``passed`` were true, with ``charges`` the
-        per-evaluation charged costs for the histogram (may be shorter
-        than ``evaluated`` — e.g. empty for a hash-matched free equijoin,
-        where every charge is zero). Refines the owning node's estimate
-        once per batch instead of at power-of-two milestones."""
+        """``evaluated`` evaluations of which ``passed`` were true, with
+        ``charges`` the per-evaluation charged costs for the histogram
+        (may be shorter than ``evaluated`` — empty for a free predicate
+        reported in bulk, where every charge is zero). Refines the
+        owning node's estimate once per report, or — on a contained
+        run, which reports evaluation by evaluation — at power-of-two
+        evaluation counts."""
         if evaluated <= 0:
             return
         telemetry = self.predicates.get(predicate.pred_id)
@@ -431,23 +406,21 @@ class RuntimeMonitor:
         observe = telemetry.cost.observe
         for charged in charges:
             observe(charged)
+        count = telemetry.evaluated
         if (
             telemetry.node_key
-            and telemetry.evaluated >= REFINE_MIN_EVALS
+            and count >= REFINE_MIN_EVALS
+            and not (self._per_row and count & (count - 1))
         ):
             self._refine(telemetry.node_key)
 
-    def on_filter_batch(
-        self,
-        node_key: int,
-        rows_in: int,
-        rows_out: int,
-        declared_selectivity: float,
+    def on_filter(
+        self, key, chain, rows_in, rows_out, declared, kernels
     ) -> None:
-        """Per-batch selection-vector density report from the vector
-        executor's filter chains: ``rows_in`` rows entered the chain and
-        ``rows_out`` survived it, against a declared (optimizer) chain
-        selectivity of ``declared_selectivity``.
+        """Per-batch selection-vector density report from a filter
+        chain: ``rows_in`` rows entered the chain and ``rows_out``
+        survived it, against a declared (optimizer) chain selectivity
+        of ``declared``.
 
         Unlike the per-predicate refinement in :meth:`_refine` — a
         product of independent ratios — the joint chain density sees
@@ -458,19 +431,18 @@ class RuntimeMonitor:
         exploding the work budget, and ``rows_out``/``WORK_FLOOR``
         floors keep the fraction monotone.
         """
-        if rows_in <= 0 or self.state == "aborted":
+        if rows_in <= 0 or rows_out is None or self.state == "aborted":
             return
-        totals = self.filter_density.get(node_key)
+        totals = self.filter_density.get(key)
         if totals is None:
-            totals = self.filter_density[node_key] = [0, 0]
+            totals = self.filter_density[key] = [0, 0]
         totals[0] += rows_in
         totals[1] += rows_out
         if totals[0] < REFINE_MIN_EVALS:
             return
-        operator = self.operators.get(node_key)
+        operator = self.operators.get(key)
         if operator is None:
             return
-        declared = declared_selectivity
         if math.isnan(declared) or not declared > 0.0:
             return
         observed = totals[1] / totals[0]

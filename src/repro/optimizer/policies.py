@@ -91,6 +91,12 @@ class PlacementPolicy:
         self, scan: Scan, selections: list[Predicate], model: CostModel
     ) -> None:
         scan.filters = rank_sorted(selections)
+        # Disjunctive conjuncts were short-circuit ordered at analysis
+        # time (Kim/Ileri/Madden generalisation): count them whether or
+        # not provenance is recorded.
+        compound = [p for p in scan.filters if p.is_compound]
+        if compound:
+            self.count("disjunctions_ordered", len(compound))
         if self.ledger.enabled and selections:
             self.ledger.record(
                 "scan.rank_order",
@@ -98,22 +104,19 @@ class PlacementPolicy:
                 order=[str(p) for p in scan.filters],
                 ranks=[p.rank for p in scan.filters],
             )
-            # Disjunctive conjuncts additionally record their intra-tree
-            # short-circuit order (Kim/Ileri/Madden generalisation): the
-            # tree's children were rank-ordered at analysis time and its
-            # cost_per_tuple is the expected short-circuit cost. Only
-            # emitted when a boolean tree is present, so conjunctive
-            # workloads' provenance is byte-identical.
-            for predicate in scan.filters:
-                if predicate.is_compound:
-                    self.count("disjunctions_ordered")
-                    self.ledger.record(
-                        "scan.disjunction_order",
-                        table=scan.table,
-                        predicate=str(predicate),
-                        tree=str(predicate.tree),
-                        expected_cost=predicate.cost_per_tuple,
-                    )
+            # ... and record their intra-tree order: the tree's children
+            # were rank-ordered and its cost_per_tuple is the expected
+            # short-circuit cost. Only emitted when a boolean tree is
+            # present, so conjunctive workloads' provenance is
+            # byte-identical.
+            for predicate in compound:
+                self.ledger.record(
+                    "scan.disjunction_order",
+                    table=scan.table,
+                    predicate=str(predicate),
+                    tree=str(predicate.tree),
+                    expected_cost=predicate.cost_per_tuple,
+                )
 
     def _on_join(
         self, join: Join, model: CostModel, ctx: JoinContext

@@ -15,10 +15,6 @@ ever see surviving elements — which is what lets batch predicate
 evaluation charge each expensive-UDF call only for selection-vector
 survivors.
 
-An *optional* numpy fast path accelerates mask counting when numpy
-happens to be installed; everything works identically (and is tested)
-without it.
-
 The batch reader (:func:`batches_from_heap`) sits on the existing
 :meth:`~repro.storage.heap.HeapFile.scan_pages`, so sequential I/O is
 charged per heap page through the buffer pool, one page at a time.
@@ -31,11 +27,6 @@ from itertools import compress
 from typing import Iterable, Iterator
 
 from repro.expr.expressions import Scope
-
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover - the stdlib-only default
-    _np = None
 
 #: Default number of rows per batch. Large enough to amortise per-batch
 #: bookkeeping, small enough to keep intermediate gathers cache-friendly.
@@ -52,13 +43,6 @@ def _pack_column(values: list) -> "array | list":
         return array(_INT_TYPECODE, values)
     except (TypeError, OverflowError):
         return values
-
-
-def mask_count(mask: bytearray) -> int:
-    """Number of set positions in a selection mask."""
-    if _np is not None and len(mask) >= 512:
-        return int(_np.frombuffer(mask, dtype=_np.uint8).sum())
-    return sum(mask)
 
 
 class ColumnBatch:
@@ -86,7 +70,7 @@ class ColumnBatch:
 
     def take(self, mask: bytearray) -> "ColumnBatch":
         """Gather the selection-vector survivors into a new batch."""
-        if mask_count(mask) == self.length:
+        if 0 not in mask:  # every row survived (C-speed byte scan)
             return self
         return ColumnBatch(self.scope, list(compress(self.rows, mask)))
 

@@ -52,7 +52,7 @@ def _run(key, *, adaptive, policy=None, flight=None, ledger=None):
         db,
         adaptive=(policy or AdaptivePolicy()) if adaptive else None,
         ledger=ledger,
-        flight=flight,
+        listeners=(flight,) if flight is not None else (),
     )
     return executor.execute(plan)
 

@@ -195,7 +195,7 @@ class TestEpochSequencing:
         query = build_adapt_workload(db, "adapt_honest").query
         plan = optimize(db, query, strategy="pushdown").plan
         collector = FeedbackCollector()
-        Executor(db, collector=collector).execute(plan)
+        Executor(db, listeners=(collector,)).execute(plan)
         return collector.observations()
 
     def test_mid_query_epochs_group_under_the_run_number(self):
@@ -261,7 +261,7 @@ class TestEpochSequencing:
         result = Executor(
             db,
             adaptive=AdaptivePolicy(),
-            collector=collector,
+            listeners=(collector,),
             adaptive_stats_store=store,
             adaptive_stats_meta={
                 "strategy": "migration", "scale": 100, "seed": 42,

@@ -298,7 +298,7 @@ class TestMonitorDensityRefinement:
         plan = optimize(db, workload.query, strategy="pushdown").plan
         monitor = RuntimeMonitor()
         result = Executor(
-            db, budget=workload.budget, monitor=monitor,
+            db, budget=workload.budget, listeners=(monitor,),
         ).execute(plan)
         assert result.completed
         assert monitor.state == "completed"
@@ -339,7 +339,7 @@ class TestMonitorDensityRefinement:
         # Observed density 10% of declared selectivity 0.5: the joint
         # ratio shrinks the node's estimate (within the clamp band).
         total = max(REFINE_MIN_EVALS, 64)
-        monitor.on_filter_batch(node_key, total, total // 20, 0.5)
+        monitor.on_filter(node_key, [], total, total // 20, 0.5, ())
         assert operator.estimated_rows < declared
         assert operator.estimated_rows >= WORK_FLOOR
 
@@ -364,6 +364,8 @@ class TestMonitorDensityRefinement:
         )
         before = operator.estimated_rows
         total = max(REFINE_MIN_EVALS, 64)
-        monitor.on_filter_batch(node_key, total, total // 2, float("nan"))
-        monitor.on_filter_batch(node_key, 0, 0, 0.5)
+        monitor.on_filter(
+            node_key, [], total, total // 2, float("nan"), ()
+        )
+        monitor.on_filter(node_key, [], 0, 0, 0.5, ())
         assert operator.estimated_rows == before

@@ -175,11 +175,11 @@ class TestBudgetFrontier:
                 assert result.completed == reference.completed, label
                 recorder = FlightRecorder()
                 recorded = Executor(
-                    db, budget=budget, flight=recorder
+                    db, budget=budget, listeners=(recorder,)
                 ).execute(plan)
                 monitor = RuntimeMonitor()
                 monitored = Executor(
-                    db, budget=budget, monitor=monitor
+                    db, budget=budget, listeners=(monitor,)
                 ).execute(plan)
                 if reference.completed:
                     assert recorded.completed and monitored.completed, label

@@ -234,6 +234,32 @@ class TestRecordAndDiff:
         assert "fingerprint" in out
         assert "regression(s)" in out
 
+    def test_bench_diff_leaves_adapt_artifact_to_bench_adapt(
+        self, capsys, tmp_path
+    ):
+        """A bench-adapt artifact in the baseline directory is not a
+        --record workload: its absence from a fresh record is a note,
+        while a missing --record workload still regresses."""
+        a = self.record(capsys, tmp_path, "runA")
+        b = self.record(capsys, tmp_path, "runB")
+        (a / "BENCH_adapt.json").write_text(
+            json.dumps({"schema_version": 1, "scenarios": {}}),
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(capsys, "bench-diff", str(a), str(b))
+        assert code == 0
+        assert "[note] adapt/*: skipped: bench-adapt artifact" in out
+        assert "no regressions" in out
+
+        next(b.glob("BENCH_*.json")).unlink()
+        (b / "BENCH_other.json").write_text(
+            next(a.glob("BENCH_q1.json")).read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(capsys, "bench-diff", str(a), str(b))
+        assert code == 1
+        assert "[REGRESSION] q1/*: missing" in out
+
     def test_bench_diff_empty_candidate_dir_exit_two(self, capsys, tmp_path):
         a = self.record(capsys, tmp_path, "runA")
         empty = tmp_path / "empty"

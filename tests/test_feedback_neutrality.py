@@ -105,7 +105,7 @@ def test_injection_is_the_only_mover():
     store = StatsFeedbackStore("q4")
     optimized = optimize(db, query, strategy="pushdown")
     collector = FeedbackCollector()
-    Executor(db, collector=collector).execute(optimized.plan)
+    Executor(db, listeners=(collector,)).execute(optimized.plan)
     store.record_epoch(
         collector.observations(), strategy="pushdown", scale=20, seed=42
     )

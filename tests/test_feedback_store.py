@@ -43,7 +43,7 @@ def _collect(db, workload_key="q4", strategy="pushdown", caching=False):
         db, workload.query, strategy=strategy, caching=caching
     )
     collector = FeedbackCollector()
-    executor = Executor(db, caching=caching, collector=collector)
+    executor = Executor(db, caching=caching, listeners=(collector,))
     result = executor.execute(optimized.plan)
     return collector, result
 
@@ -301,7 +301,7 @@ for name in ("q1", "q4"):
     workload = build_workload(db, name)
     optimized = optimize(db, workload.query, strategy="pushdown")
     collector = FeedbackCollector()
-    executor = Executor(db, collector=collector)
+    executor = Executor(db, listeners=(collector,))
     result = executor.execute(optimized.plan, instrument=True)
     store = StatsFeedbackStore(name)
     store.record_epoch(

@@ -53,8 +53,9 @@ def _dead_run(db, workload_key="q1", monitor=None):
     full = Executor(db, batch_rows=8).execute(plan)
     recorder = FlightRecorder()
     result = Executor(
-        db, budget=full.charged * 0.9, monitor=monitor,
-        flight=recorder, batch_rows=8,
+        db, budget=full.charged * 0.9,
+        listeners=[recorder] + ([monitor] if monitor is not None else []),
+        batch_rows=8,
     ).execute(plan)
     assert not result.completed
     return recorder, result
@@ -143,7 +144,7 @@ class TestExecutorIntegration:
         workload = build_workload(db, "q1")
         plan = optimize(db, workload.query, strategy="pushdown").plan
         recorder = FlightRecorder()
-        result = Executor(db, flight=recorder).execute(plan)
+        result = Executor(db, listeners=(recorder,)).execute(plan)
         assert result.completed
         assert recorder.tripped == ""
         assert recorder.recorded > 0  # batches were still logged
@@ -352,8 +353,8 @@ for batch_rows in (1, 8):
     recorder = FlightRecorder()
     monitor = RuntimeMonitor()
     result = Executor(
-        db, budget=full.charged * 0.9, monitor=monitor,
-        flight=recorder, batch_rows=batch_rows,
+        db, budget=full.charged * 0.9, listeners=(recorder, monitor),
+        batch_rows=batch_rows,
     ).execute(plan)
     assert not result.completed
     document = build_flight_dump(

@@ -110,7 +110,7 @@ def _executed_monitor(db, workload_key="q1", strategy="pushdown"):
     workload = build_workload(db, workload_key)
     optimized = optimize(db, workload.query, strategy=strategy)
     monitor = RuntimeMonitor()
-    Executor(db, monitor=monitor).execute(optimized.plan)
+    Executor(db, listeners=(monitor,)).execute(optimized.plan)
     return monitor
 
 
@@ -174,11 +174,11 @@ monitor = RuntimeMonitor()
 monitor.attach(optimized.plan, CostModel(db.catalog, db.params))
 # Drive the monitor with fixed latencies so even the wall-clock
 # histograms are reproducible.
-for key in list(monitor.operators):
-    monitor.activate(key)
+for node in optimized.plan.root.walk():
+    monitor.on_open(node)
     for _ in range(3):
-        monitor.on_row(key, 0.5)
-    monitor.on_done(key, 0.25)
+        monitor.on_batch(id(node), 1, 0.5, (0.0, 0.0, 0.0, 0))
+    monitor.on_done(id(node), 0.25, (0.0, 0.0, 0.0, 0))
 monitor.complete()
 sys.stdout.write(build_export(monitors={"q1": monitor}).render())
 """

@@ -1,9 +1,5 @@
 """Tests for the metrics registry (repro.obs.metrics)."""
 
-import math
-
-import pytest
-
 from repro import Executor, compile_query, optimize
 from repro.obs import MetricsRegistry, record_run
 
@@ -35,30 +31,6 @@ class TestRegistry:
         registry.gauge("level", 1.0)
         registry.gauge("level", 7.0)
         assert registry.snapshot()["level"] == 7.0
-
-    def test_histogram_statistics(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.mean == 2.5
-        assert histogram.percentile(0.5) == 2.0
-        assert histogram.percentile(1.0) == 4.0
-        snapshot = registry.snapshot()
-        assert snapshot["lat.count"] == 4
-        assert snapshot["lat.max"] == 4.0
-
-    def test_empty_histogram_is_nan(self):
-        histogram = MetricsRegistry().histogram("empty")
-        assert math.isnan(histogram.mean)
-        assert math.isnan(histogram.percentile(0.5))
-
-    def test_histogram_rejects_bad_fraction(self):
-        histogram = MetricsRegistry().histogram("h")
-        histogram.observe(1.0)
-        with pytest.raises(ValueError):
-            histogram.percentile(1.5)
 
     def test_snapshot_is_flat_and_complete(self):
         registry = MetricsRegistry()

@@ -12,6 +12,7 @@ import pytest
 from repro.obs.provenance import ProvenanceLedger
 from repro.obs.quality import (
     DRIFT_QERROR_THRESHOLD,
+    QERROR_BUCKET_CAP,
     DriftFinding,
     catalog_drift,
     detect_drift,
@@ -111,6 +112,19 @@ def test_histogram_key_order_is_ascending():
 
 
 # -- fmt_stat / domain predicates --------------------------------------------
+
+
+def test_histogram_labels_every_bucket():
+    """Every bucket label, the open-ended ``>=2^CAP`` one included:
+    ``[2^p,2^(p+1))`` with integer bounds."""
+    values = [float(2**power) for power in range(QERROR_BUCKET_CAP + 2)]
+    expected = [
+        f"[{2**power},{2**(power + 1)})"
+        for power in range(QERROR_BUCKET_CAP)
+    ] + [f">={2**QERROR_BUCKET_CAP}"]
+    histogram = qerror_histogram(values)
+    assert list(histogram) == expected
+    assert histogram[f">={2**QERROR_BUCKET_CAP}"] == 2
 
 
 def test_fmt_stat_round_trips_non_finite():

@@ -38,12 +38,12 @@ class ProbeMonitor(RuntimeMonitor):
         self.low_water = current
         self.samples += 1
 
-    def on_row(self, key, seconds):
-        super().on_row(key, seconds)
+    def on_batch(self, key, rows, seconds, delta):
+        super().on_batch(key, rows, seconds, delta)
         self._check()
 
-    def on_done(self, key, seconds):
-        super().on_done(key, seconds)
+    def on_done(self, key, seconds, delta):
+        super().on_done(key, seconds, delta)
         self._check()
 
 
@@ -56,7 +56,7 @@ def test_progress_monotone_and_terminal(db, workload_key, strategy):
     workload = build_workload(db, workload_key)
     optimized = optimize(db, workload.query, strategy=strategy)
     monitor = ProbeMonitor()
-    executor = Executor(db, budget=workload.budget, monitor=monitor)
+    executor = Executor(db, budget=workload.budget, listeners=(monitor,))
     result = executor.execute(
         optimized.plan, project=workload.query.select
     )
@@ -86,14 +86,16 @@ def test_budget_freeze_pins_progress(db):
     workload = build_workload(db, "q1")
     optimized = optimize(db, workload.query, strategy="pushdown")
     monitor = RuntimeMonitor()
-    executor = Executor(db, budget=50.0, monitor=monitor)
+    executor = Executor(db, budget=50.0, listeners=(monitor,))
     result = executor.execute(optimized.plan)
     assert not result.completed
     assert monitor.state == "aborted"
     frozen = monitor.progress()
     assert 0.0 <= frozen < 1.0
     # Frozen means frozen: neither reads nor late events thaw it.
-    monitor.on_row(next(iter(monitor.operators)), 0.0)
+    monitor.on_batch(
+        next(iter(monitor.operators)), 1, 0.0, (0.0, 0.0, 0.0, 0)
+    )
     monitor.complete()
     assert monitor.progress() == frozen
     assert monitor.state == "aborted"
@@ -121,7 +123,7 @@ def test_resource_report_matches_executor_metrics(db):
     workload = build_workload(db, "q4")
     optimized = optimize(db, workload.query, strategy="migration")
     monitor = RuntimeMonitor()
-    executor = Executor(db, monitor=monitor)
+    executor = Executor(db, listeners=(monitor,))
     result = executor.execute(
         optimized.plan, project=workload.query.select
     )
@@ -145,7 +147,7 @@ def test_caching_run_reports_cache_traffic(db):
         db, workload.query, strategy="pushdown", caching=True
     )
     monitor = RuntimeMonitor()
-    executor = Executor(db, caching=True, monitor=monitor)
+    executor = Executor(db, caching=True, listeners=(monitor,))
     result = executor.execute(optimized.plan)
     report = result.resources
     assert report.cache_hits + report.cache_misses > 0
@@ -159,7 +161,7 @@ def test_observed_selectivity_refines_estimates(db):
     workload = build_workload(db, "q1")
     optimized = optimize(db, workload.query, strategy="pushdown")
     monitor = RuntimeMonitor()
-    executor = Executor(db, monitor=monitor)
+    executor = Executor(db, listeners=(monitor,))
     executor.execute(optimized.plan)
     observed = [
         telemetry

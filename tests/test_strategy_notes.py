@@ -3,7 +3,8 @@
 import pytest
 
 from repro import STRATEGIES, compile_query, optimize
-from repro.obs import Tracer
+from repro.bench.workloads import build_workload
+from repro.obs import ProvenanceLedger, Tracer
 
 SQL3 = (
     "SELECT * FROM t3, t6, t10 "
@@ -91,3 +92,17 @@ class TestStrategySpecificNotes:
             for event in span.events
         }
         assert "migration.fixpoint" in event_names
+
+
+def test_disjunctions_counted_without_provenance(db):
+    """The ``disjunctions_ordered`` note counts compound OR conjuncts
+    whether or not a provenance ledger records the decisions."""
+    query = build_workload(db, "qor").query
+    plain = optimize(db, query, strategy="migration")
+    assert plain.notes.get("disjunctions_ordered", 0) >= 1
+    traced = optimize(
+        db, query, strategy="migration", ledger=ProvenanceLedger()
+    )
+    assert traced.notes["disjunctions_ordered"] == (
+        plain.notes["disjunctions_ordered"]
+    )
